@@ -88,10 +88,9 @@ def _resolve_sigma(args, n_hint: int | None = None) -> CorrMatrix:
 
 
 def _resolve_moments(args, gdef, sigma):
-    how = getattr(args, "moments", None) or "empirical"
-    if args.method in ("gb", "q", "hyb"):
+    if args.method not in methods._NEEDS_MOMENTS:
         return None
-    if how == "qform":
+    if getattr(args, "moments", None) == "qform":
         return qform.hybrid_moments(qform.qform_spec(gdef, sigma, args.kstar))
     config = harness.SimConfig(
         sigma=sigma, nreps=max(args.reps or 100_000, 100), seed=args.seed, side=gdef.side
@@ -157,20 +156,11 @@ def _cmd_omnibus(args) -> int:
     defs = _read_defs(args.defs, args.side)
     sigma = _resolve_sigma(args, defs[0].n)
     values = _read_values(args.input)
+    tags = [args.method or omnibus._default_method(g.side) for g in defs]
     moment_list = None
-    tags = [args.method] * len(defs) if args.method else None
-    need = {"mr", "ggd123", "ggd234", "ggdmr"}
-    effective = tags or [("hyb" if d.side == "two" else "mr") for d in defs]
-    if any(t in need for t in effective):
-        moment_list = []
-        for g, t in zip(defs, effective):
-            if t in need:
-                config = harness.SimConfig(
-                    sigma=sigma, nreps=max(args.reps or 100_000, 100), seed=args.seed, side=g.side
-                )
-                moment_list.append(harness.empirical_moments(g, config))
-            else:
-                moment_list.append(None)
+    if any(t in methods._NEEDS_MOMENTS for t in tags):  # SimConfig factors sigma: build it only when used
+        config = harness.SimConfig(sigma=sigma, nreps=max(args.reps or 100_000, 100), seed=args.seed, side=defs[0].side)
+        moment_list = [harness._auto_moments(g, config, t, None, config.nreps) for g, t in zip(defs, tags)]
     panel = omnibus.build_panel(
         defs, sigma, method=args.method, kstar=args.kstar, moments=moment_list, qf_acc=args.qf_acc
     )
@@ -216,10 +206,7 @@ def _cmd_simulate_tie(args) -> int:
     alphas = [float(a) for a in args.alphas.split(",")]
     if args.defs:
         defs = _read_defs(args.defs, args.side)
-        moment_list = [
-            harness.empirical_moments(g, config, 100_000) if args.component_method == "mr" else None
-            for g in defs
-        ]
+        moment_list = [harness._auto_moments(g, config, args.component_method, None, 100_000) for g in defs]
         panel = omnibus.build_panel(
             defs, config.sigma, method=args.component_method, kstar=args.kstar, moments=moment_list
         )

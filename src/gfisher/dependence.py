@@ -6,6 +6,11 @@ is a Hermite-coefficient integral of the inverse-chi-square transform. Only
 n* x k* one-dimensional integrals are needed for an n x n covariance matrix,
 where n* is the number of distinct degrees of freedom.
 
+One pass (``cov_series``) serves every definition sharing a sigma: each order
+raises sigma to the k-th power once for the covariance matrices, the
+truncation diagnostic and the omnibus cross covariance. Odd orders, whose
+coefficients are exact zeros for two-sided input, are skipped there.
+
 Also provides the block correlation-structure generators used by the
 simulation harness, CSV round-tripping for correlation matrices, and a
 nearest-correlation repair (alternating projections).
@@ -14,6 +19,7 @@ nearest-correlation repair (alternating projections).
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lgamma
@@ -27,7 +33,9 @@ from .statistic import GFisherDef, Side, validate_side
 
 __all__ = [
     "CorrMatrix",
+    "CovSeries",
     "cov_matrix",
+    "cov_series",
     "cov_summands",
     "cross_cov",
     "gen_structure",
@@ -130,12 +138,13 @@ def same_index_cov(d1: float, d2: float, side: Side, tol: float = QUAD_TOL) -> f
 # ---------------------------------------------------------------------------
 
 
-def _coeff_table(degrees: np.ndarray, side: Side, kstar: int, tol: float) -> dict[float, np.ndarray]:
-    """I(k), k = 1..kstar, for each distinct d (the n* x k* economy)."""
+def _coeff_table(defs, side: Side, kstar: int, tol: float) -> list[np.ndarray]:
+    """I(k) for k = 1..kstar (rows) and each summand (columns) of each definition,
+    integrated once per distinct d (the n* x k* economy)."""
     table: dict[float, np.ndarray] = {}
-    for d in sorted(set(float(x) for x in degrees)):
+    for d in sorted(set(float(x) for g in defs for x in g.degrees)):
         table[d] = np.array([hermite_coeff(d, k, side, tol) for k in range(1, kstar + 1)])
-    return table
+    return [np.array([table[float(d)] for d in g.degrees]).T for g in defs]
 
 
 def cov_summands(
@@ -161,12 +170,67 @@ def cov_summands(
     return float(total)
 
 
-def cov_matrix(
-    gdef: GFisherDef,
-    sigma,
-    kstar: int = DEFAULT_KSTAR,
-    tol: float = QUAD_TOL,
-) -> np.ndarray:
+# per definition, the summand covariance matrix and the truncation diagnostic;
+# the statistics' cross covariance (None where a pass was not asked for them)
+CovSeries = namedtuple("CovSeries", ["covs", "last_terms", "omega"])
+
+
+def cov_series(defs, sigma, kstar: int = DEFAULT_KSTAR, tol: float = QUAD_TOL, *, full, cross=False) -> CovSeries:
+    """One pass over the orders k = 1..kstar for definitions sharing one sigma.
+
+    ``full[l]`` asks for the covariance matrix of ``defs[l]``, ``cross`` for
+    the cross covariance; every definition gets its last term, and only
+    k = kstar is visited when nothing else is wanted.
+    """
+    defs = list(defs)
+    if not defs:
+        raise ValueError("need at least one statistic definition")
+    n, side, m = defs[0].n, defs[0].side, len(defs)
+    if any(g.n != n or g.side != side for g in defs):
+        raise ValueError("all definitions must share the input dimension n and sidedness")
+    s = as_corr(sigma).values
+    if s.shape != (n, n):
+        raise ValueError(f"correlation matrix must be {n}x{n}, got {s.shape}")
+    coeffs = _coeff_table(defs, side, kstar, tol)
+
+    covs = [np.zeros((n, n)) if f else None for f in full]
+    last_terms = [0.0] * m
+    omega = np.zeros((m, m)) if cross else None
+    vs = np.empty((m, n))
+    fact = 1.0
+    for k in range(1, kstar + 1):
+        fact *= k
+        if (side == "two" and k % 2 == 1) or (k < kstar and not (cross or any(full))):
+            continue
+        sk = s**k
+        np.fill_diagonal(sk, 0.0)  # every consumer treats sigma_ii = 1 exactly
+        for l, (g, cov) in enumerate(zip(defs, covs)):
+            v = coeffs[l][k - 1]
+            vs[l] = g.weights * v
+            if cov is None and k < kstar:
+                continue
+            vv = np.outer(v, v)
+            if cov is not None:
+                cov += sk * vv / fact
+            if k == kstar:
+                last_terms[l] = float((np.abs(sk) * np.abs(vv) / np.exp(lgamma(kstar + 1))).max())
+        if cross:
+            omega += vs @ sk @ vs.T / fact
+
+    for g, cov in zip(defs, covs):
+        if cov is not None:
+            np.fill_diagonal(cov, 2.0 * g.degrees)
+    for l in range(m if cross else 0):
+        for r in range(l, m):  # exact same-index terms
+            wl, wr, dl, dr = defs[l].weights, defs[r].weights, defs[l].degrees, defs[r].degrees
+            diag = sum(wl[i] * wr[i] * same_index_cov(dl[i], dr[i], side, tol) for i in range(n))
+            omega[l, r] += diag
+            if r != l:
+                omega[r, l] += diag
+    return CovSeries(covs, last_terms, omega)
+
+
+def cov_matrix(gdef: GFisherDef, sigma, kstar: int = DEFAULT_KSTAR, tol: float = QUAD_TOL) -> np.ndarray:
     """Covariance matrix of the transformed summands T_1..T_n.
 
     Off-diagonal entries come from the truncated series; the diagonal is the
@@ -174,94 +238,26 @@ def cov_matrix(
     converges slowly for two-sided inputs, and exactness on the diagonal is
     what makes the independence case exact downstream).
     """
-    s = as_corr(sigma).values
-    n = gdef.n
-    if s.shape != (n, n):
-        raise ValueError(f"correlation matrix must be {n}x{n}, got {s.shape}")
-    table = _coeff_table(gdef.degrees, gdef.side, kstar, tol)
-    cov = np.zeros((n, n))
-    fact = 1.0
-    for k in range(1, kstar + 1):
-        fact *= k
-        v_k = np.array([table[float(d)][k - 1] for d in gdef.degrees])
-        cov += (s**k) * np.outer(v_k, v_k) / fact
-    np.fill_diagonal(cov, 2.0 * gdef.degrees)
-    return cov
+    return cov_series([gdef], sigma, kstar, tol, full=[True]).covs[0]
 
 
-def truncation_diagnostic(
-    gdef: GFisherDef,
-    sigma,
-    kstar: int = DEFAULT_KSTAR,
-    tol: float = QUAD_TOL,
-) -> float:
+def truncation_diagnostic(gdef: GFisherDef, sigma, kstar: int = DEFAULT_KSTAR, tol: float = QUAD_TOL) -> float:
     """Largest off-diagonal magnitude of the last retained series term."""
-    s = as_corr(sigma).values
-    table = _coeff_table(gdef.degrees, gdef.side, kstar, tol)
-    v = np.array([table[float(d)][kstar - 1] for d in gdef.degrees])
-    term = np.abs(s**kstar) * np.abs(np.outer(v, v)) / np.exp(lgamma(kstar + 1))
-    np.fill_diagonal(term, 0.0)
-    return float(term.max()) if term.size else 0.0
+    return cov_series([gdef], sigma, kstar, tol, full=[False]).last_terms[0]
 
 
 def var_T(gdef: GFisherDef, sigma, kstar: int = DEFAULT_KSTAR, tol: float = QUAD_TOL) -> float:
     """Null variance of the statistic: w' Cov(T) w."""
-    c = cov_matrix(gdef, sigma, kstar, tol)
-    return float(gdef.weights @ c @ gdef.weights)
+    return float(gdef.weights @ cov_matrix(gdef, sigma, kstar, tol) @ gdef.weights)
 
 
-def cross_cov(
-    defs: list[GFisherDef],
-    sigma,
-    kstar: int = DEFAULT_KSTAR,
-    tol: float = QUAD_TOL,
-) -> np.ndarray:
+def cross_cov(defs: list[GFisherDef], sigma, kstar: int = DEFAULT_KSTAR, tol: float = QUAD_TOL) -> np.ndarray:
     """m x m covariance matrix across statistics sharing one input panel.
 
     Same-index contributions (sigma_ii = 1) use the exact product-moment
     quadrature; cross-index contributions use the truncated series.
     """
-    if not defs:
-        raise ValueError("need at least one statistic definition")
-    n = defs[0].n
-    side = defs[0].side
-    for g in defs:
-        if g.n != n:
-            raise ValueError("all definitions must share the input dimension n")
-        if g.side != side:
-            raise ValueError("mixed sidedness across definitions is not supported")
-    s = as_corr(sigma).values
-    if s.shape != (n, n):
-        raise ValueError(f"correlation matrix must be {n}x{n}, got {s.shape}")
-    m = len(defs)
-    all_degrees = np.concatenate([g.degrees for g in defs])
-    table = _coeff_table(all_degrees, side, kstar, tol)
-
-    # series part with the diagonal of sigma zeroed (handled exactly below)
-    s0 = s.copy()
-    np.fill_diagonal(s0, 0.0)
-    omega = np.zeros((m, m))
-    fact = 1.0
-    vs = np.empty((m, n))
-    for k in range(1, kstar + 1):
-        fact *= k
-        for l, g in enumerate(defs):
-            vs[l] = g.weights * np.array([table[float(d)][k - 1] for d in g.degrees])
-        omega += vs @ (s0**k) @ vs.T / fact
-    # exact same-index terms
-    for l in range(m):
-        for r in range(l, m):
-            gl, gr = defs[l], defs[r]
-            diag = sum(
-                gl.weights[i]
-                * gr.weights[i]
-                * same_index_cov(gl.degrees[i], gr.degrees[i], side, tol)
-                for i in range(n)
-            )
-            omega[l, r] += diag
-            if r != l:
-                omega[r, l] += diag
-    return omega
+    return cov_series(defs, sigma, kstar, tol, full=[False] * len(defs), cross=True).omega
 
 
 # ---------------------------------------------------------------------------

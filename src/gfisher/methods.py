@@ -59,6 +59,21 @@ def _gamma_survival(shape: float, mu: float, sd: float) -> Callable[[np.ndarray]
     return surv
 
 
+def _check(gdef: GFisherDef, method: str, moments: MomentSummary | None) -> tuple[str, bool]:
+    """The lowercased method, and whether fitting it reads the summand covariance matrix."""
+    method = method.lower()
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method in _TWO_SIDED_ONLY and gdef.side != "two":
+        raise ValueError(f"method {method!r} requires two-sided input p-values")
+    if method in _NEEDS_MOMENTS and moments is None:
+        raise ValueError(
+            f"method {method!r} needs a MomentSummary with {_NEEDS_MOMENTS[method]} "
+            "(e.g. from harness.empirical_moments or qform.hybrid_moments)"
+        )
+    return method, method in ("q", "hyb") or (method == "gb" and moments is None)
+
+
 def fit_null(
     gdef: GFisherDef,
     sigma,
@@ -75,21 +90,19 @@ def fit_null(
     q and hyb methods are restricted to two-sided inputs with integer
     degrees of freedom.
     """
-    method = method.lower()
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method in _TWO_SIDED_ONLY and gdef.side != "two":
-        raise ValueError(f"method {method!r} requires two-sided input p-values")
-    if method in _NEEDS_MOMENTS and moments is None:
-        raise ValueError(
-            f"method {method!r} needs a MomentSummary with {_NEEDS_MOMENTS[method]} "
-            "(e.g. from harness.empirical_moments or qform.hybrid_moments)"
-        )
+    method, needs_cov = _check(gdef, method, moments)
+    cov = dependence.cov_matrix(gdef, sigma, kstar) if needs_cov else None
+    return _fit(gdef, sigma, method, cov, kstar, moments, qf_acc)
 
+
+def _fit(gdef, sigma, method: str, cov, kstar: int, moments, qf_acc: float) -> NullApprox:
+    """Fit a checked method on the summand covariance matrix of the caller's series pass."""
     diag: dict = {"kstar": kstar}
 
     if method == "gb":
-        m = moments or analytic_moments(gdef, sigma, kstar)
+        m = moments or MomentSummary(
+            mu=gdef.mean, var=float(gdef.weights @ cov @ gdef.weights), source="analytic"
+        )
         sur = surrogates.fit_gb(m)
         diag.update({"shape": sur.shape, "moment_source": m.source})
         return NullApprox(method, gdef, _gamma_survival(sur.shape, m.mu, m.sd), diag)
@@ -102,9 +115,11 @@ def fit_null(
         )
         return NullApprox(method, gdef, _gamma_survival(sur.shape, m.mu, m.sd), diag)
 
-    if method == "q":
-        spec = qform.qform_spec(gdef, sigma, kstar)
+    if method in ("q", "hyb"):
+        spec = qform.eigen_spec(gdef, qform.build_m(gdef, sigma, cov))
         diag.update(qform.spec_diagnostics(spec, gdef))
+
+    if method == "q":
         diag["qf_acc"] = qf_acc
 
         def surv(t: np.ndarray) -> np.ndarray:
@@ -114,16 +129,12 @@ def fit_null(
         return NullApprox(method, gdef, surv, diag)
 
     if method == "hyb":
-        spec = qform.qform_spec(gdef, sigma, kstar)
-        shape = qform.hybrid_shape(spec)
-        mu = gdef.mean
-        sd = float(np.sqrt(dependence.var_T(gdef, sigma, kstar)))
-        diag.update(qform.spec_diagnostics(spec, gdef))
-        diag["shape"] = shape
-        return NullApprox(method, gdef, _gamma_survival(shape, mu, sd), diag)
+        diag["shape"] = shape = qform.hybrid_shape(spec)
+        sd = float(np.sqrt(gdef.weights @ cov @ gdef.weights))
+        return NullApprox(method, gdef, _gamma_survival(shape, gdef.mean, sd), diag)
 
-    # generalized-gamma variants
-    variant = method.removeprefix("ggd")
+    # generalized-gamma variants, by the names fit_ggd knows them
+    variant = {"ggd123": "m123", "ggd234": "m234", "ggdmr": "mr"}[method]
     sur = surrogates.fit_ggd(moments, variant)  # raises NoSolutionError when unsolved
     diag.update(
         {
@@ -158,12 +169,14 @@ def compute_pvalue(
     pvals = to_pvalues(panel, gdef.side)
     n_zero = int(np.count_nonzero(pvals <= 0.0))
     t_obs = evaluate(gdef, pvals)
+    method, needs_cov = _check(gdef, method, moments)
+    series = dependence.cov_series([gdef], sigma, kstar, full=[needs_cov])
     if method == "q":
         # the single-point path reports the achieved inversion bound
-        result = qform.pvalue_q(gdef, sigma, t_obs, kstar=kstar, acc=qf_acc)
+        spec = qform.eigen_spec(gdef, qform.build_m(gdef, sigma, series.covs[0]))
+        result = qform._pvalue_q(gdef, spec, t_obs, kstar, qf_acc)
     else:
-        null = fit_null(gdef, sigma, method, kstar=kstar, moments=moments, qf_acc=qf_acc)
-        result = null.pvalue(t_obs)
+        result = _fit(gdef, sigma, method, series.covs[0], kstar, moments, qf_acc).pvalue(t_obs)
     result.diagnostics["clamped_inputs"] = n_zero
-    result.diagnostics["cov_last_term"] = dependence.truncation_diagnostic(gdef, sigma, kstar)
+    result.diagnostics["cov_last_term"] = series.last_terms[0]
     return result

@@ -75,11 +75,7 @@ def build_panel(
     defs = list(defs)
     if not defs:
         raise ValueError("need at least one statistic definition")
-    side = defs[0].side
-    n = defs[0].n
-    for g in defs:
-        if g.side != side or g.n != n:
-            raise ValueError("all definitions must share n and sidedness")
+    side = defs[0].side  # cov_series checks that all definitions share n and sidedness
     m = len(defs)
     if method is None:
         tags = [_default_method(side)] * m
@@ -94,11 +90,11 @@ def build_panel(
     if len(moments) != m:
         raise ValueError("one moment summary (or None) per definition required")
 
+    checked, full = zip(*(methods._check(g, tag, mom) for g, tag, mom in zip(defs, tags, moments)))
+    covs, _, omega = dependence.cov_series(defs, sigma, kstar, full=full, cross=True)
     fitted = [
-        methods.fit_null(g, sigma, tag, kstar=kstar, moments=mom, qf_acc=qf_acc)
-        for g, tag, mom in zip(defs, tags, moments)
+        methods._fit(g, sigma, tag, cov, kstar, mom, qf_acc) for g, tag, cov, mom in zip(defs, checked, covs, moments)
     ]
-    omega = dependence.cross_cov(defs, sigma, kstar)
     means = np.array([g.mean for g in defs])
     scale = 1.0 / np.sqrt(np.diag(omega))
     corr = omega * np.outer(scale, scale)

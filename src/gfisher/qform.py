@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -53,12 +54,20 @@ def _require_two_sided_integer(gdef: GFisherDef) -> None:
 
 @dataclass
 class SurrogateCorr:
-    """The surrogate correlation matrix M and a factor with L L' = M."""
+    """The surrogate correlation matrix M and, on first access, a factor with L L' = M."""
 
     m: np.ndarray
-    chol: np.ndarray
     clamp_count: int = 0
     repair_applied: bool = False
+
+    @cached_property
+    def chol(self) -> np.ndarray:
+        """Cholesky when possible, else a symmetric eigen square root (only L L' = M is required)."""
+        try:
+            return np.linalg.cholesky(self.m + 1e-14 * np.eye(self.m.shape[0]))
+        except np.linalg.LinAlgError:
+            vals, vecs = np.linalg.eigh(self.m)
+            return vecs * np.sqrt(np.maximum(vals, 0.0))
 
 
 @dataclass
@@ -107,18 +116,7 @@ def build_m(gdef: GFisherDef, sigma, cov_t: np.ndarray) -> SurrogateCorr:
     if np.linalg.eigvalsh(m)[0] < -1e-10:
         m = dependence.nearest_correlation(m)
         repair_applied = True
-    chol = _factor(m)
-    return SurrogateCorr(m=m, chol=chol, clamp_count=clamp_count, repair_applied=repair_applied)
-
-
-def _factor(m: np.ndarray) -> np.ndarray:
-    """Lower-triangular Cholesky when possible, else a symmetric eigen square
-    root (only L L' = M is required downstream)."""
-    try:
-        return np.linalg.cholesky(m + 1e-14 * np.eye(m.shape[0]))
-    except np.linalg.LinAlgError:
-        vals, vecs = np.linalg.eigh(m)
-        return vecs * np.sqrt(np.maximum(vals, 0.0))
+    return SurrogateCorr(m=m, clamp_count=clamp_count, repair_applied=repair_applied)
 
 
 def eigen_spec(gdef: GFisherDef, sc: SurrogateCorr) -> QuadFormSpec:
@@ -133,10 +131,9 @@ def eigen_spec(gdef: GFisherDef, sc: SurrogateCorr) -> QuadFormSpec:
     w = gdef.weights
     lams: list[np.ndarray] = []
     for k in range(1, int(d.max()) + 1):
-        active = d >= k
-        r = np.sqrt(w * active)
-        mat = np.outer(r, r) * sc.m
-        vals = np.linalg.eigvalsh(mat)
+        if k == 1 or np.any(d == k - 1):  # otherwise the active set is level k - 1's
+            r = np.sqrt(w * (d >= k))
+            vals = np.linalg.eigvalsh(np.outer(r, r) * sc.m)
         lams.append(vals[vals > 1e-14])
     lam = np.concatenate(lams) if lams else np.zeros(0)
     lam = np.maximum(lam, 0.0)
@@ -348,7 +345,10 @@ def pvalue_q(
     acc: float = DEFAULT_QF_ACC,
 ) -> PValueResult:
     """P-value from the full quadratic-form surrogate distribution."""
-    spec = qform_spec(gdef, sigma, kstar)
+    return _pvalue_q(gdef, qform_spec(gdef, sigma, kstar), t_obs, kstar, acc)
+
+
+def _pvalue_q(gdef: GFisherDef, spec: QuadFormSpec, t_obs: float, kstar: int, acc: float) -> PValueResult:
     out = _survival_detail(spec.lambdas, float(t_obs), acc)
     diag = spec_diagnostics(spec, gdef)
     diag.update(
@@ -399,10 +399,11 @@ def pvalue_hyb(
     Fully analytic: the shape comes from the surrogate's higher cumulants,
     while standardization uses the exact first two moments of the statistic.
     """
-    spec = qform_spec(gdef, sigma, kstar)
+    cov = dependence.cov_matrix(gdef, sigma, kstar)
+    spec = eigen_spec(gdef, build_m(gdef, sigma, cov))
     shape = hybrid_shape(spec)
     mu = gdef.mean
-    var = dependence.var_T(gdef, sigma, kstar)
+    var = float(gdef.weights @ cov @ gdef.weights)
     z = (float(t_obs) - mu) / np.sqrt(var)
     arg = z * np.sqrt(shape) + shape
     diag = spec_diagnostics(spec, gdef)

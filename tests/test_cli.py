@@ -290,6 +290,27 @@ class TestSimulateCommand:
         assert main(base + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_omnibus_components_get_moments(self, workdir, capsys):
+        # every component method that needs moments gets them, not only mr
+        defs = workdir / "defs.json"
+        defs.write_text(json.dumps([{"degrees": [2] * 4, "side": "two"}, {"degrees": [1] * 4, "side": "two"}]))
+        code = main(
+            [
+                "simulate-tie",
+                "--defs", str(defs),
+                "--structure", "equal:0.5:III",
+                "--n", "4",
+                "--method", "cc",
+                "--component-method", "ggd123",
+                "--reps", "20000",
+                "--alphas", "0.05",
+                "--seed", "3",
+            ]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        load_schema_validator("tie_report.schema.json").validate(payload)
+
     def test_report_schema(self, workdir, capsys):
         code = main(
             [
