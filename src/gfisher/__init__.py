@@ -13,7 +13,7 @@ from .dependence import CorrMatrix, cov_matrix, cov_summands, cross_cov, gen_str
 from .harness import SimConfig, empirical_moments, empirical_tie, inflation_factor, survival_compare
 from .methods import METHODS, analytic_moments, compute_pvalue, fit_null
 from .omnibus import build_panel, component_pvalues, omnibus_pvalues, pvalue_cc, pvalue_minp
-from .qform import hybrid_moments, pvalue_hyb, pvalue_q, qform_cdf
+from .qform import hybrid_moments
 from .statistic import GFisherDef, InputPanel, PValueResult, evaluate, to_pvalues, transform
 from .surrogates import (
     GammaSurrogate,
@@ -23,8 +23,6 @@ from .surrogates import (
     fit_gb,
     fit_ggd,
     fit_mr,
-    pvalue_gamma,
-    pvalue_ggd,
 )
 
 __version__ = "0.1.0"
@@ -59,12 +57,7 @@ __all__ = [
     "inflation_factor",
     "omnibus_pvalues",
     "pvalue_cc",
-    "pvalue_gamma",
-    "pvalue_ggd",
-    "pvalue_hyb",
     "pvalue_minp",
-    "pvalue_q",
-    "qform_cdf",
     "survival_compare",
     "to_pvalues",
     "transform",

@@ -89,13 +89,15 @@ def _resolve_sigma(args, n_hint: int | None = None) -> CorrMatrix:
 
 def _resolve_moments(args, gdef, sigma):
     if args.method not in methods._NEEDS_MOMENTS:
+        if args.moments is not None:
+            raise ValueError(f"--moments does not apply to method {args.method!r}, which takes no moment summary")
         return None
-    if getattr(args, "moments", None) == "qform":
+    if args.moments == "qform":
         return qform.hybrid_moments(qform.qform_spec(gdef, sigma, args.kstar))
     config = harness.SimConfig(
         sigma=sigma, nreps=max(args.reps or 100_000, 100), seed=args.seed, side=gdef.side
     )
-    return harness.empirical_moments(gdef, config)
+    return harness._auto_moments(gdef, config, args.method, None, config.nreps)
 
 
 def _manifest(args, command: str) -> dict:

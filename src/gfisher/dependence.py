@@ -18,18 +18,16 @@ nearest-correlation repair (alternating projections).
 
 from __future__ import annotations
 
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lgamma
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.special import gammainccinv, ndtr, ndtri
+from scipy.special import gammainccinv, ndtri
 
-from .kernels import GAUSS_CUTOFF, hermite, norm_phi
-from .statistic import GFisherDef, Side, validate_side
+from .kernels import hermite, integrate_gauss_weight
+from .statistic import GFisherDef, Side, validate_side, z_to_pvalues
 
 __all__ = [
     "CorrMatrix",
@@ -54,16 +52,9 @@ QUAD_TOL = 1e-11
 # ---------------------------------------------------------------------------
 
 
-def _input_survival(z: np.ndarray, side: str) -> np.ndarray:
-    # u(z) = 1 - F(z) with F the CDF of the (one- or two-sided) input p-value
-    if side == "one":
-        return ndtr(-z)
-    return 2.0 * ndtr(-np.abs(z))
-
-
 def _transformed(z: float, d: float, side: str) -> float:
-    u = _input_survival(np.asarray(z, dtype=float), side)
-    u = np.clip(u, 1e-300, 1.0)
+    # the summand T = F_d^{-1}(1 - P) of one input z
+    u = np.clip(z_to_pvalues(np.asarray(z, dtype=float), side), 1e-300, 1.0)
     if d == 2.0:
         return float(-2.0 * np.log(u))
     if d == 1.0:
@@ -71,24 +62,9 @@ def _transformed(z: float, d: float, side: str) -> float:
     return float(2.0 * gammainccinv(d / 2.0, u))
 
 
-def _quad_gauss(f, tol: float) -> float:
-    # central panel split at the two-sided cusp, plus both tails
-    segments = ((-np.inf, -GAUSS_CUTOFF, None), (-GAUSS_CUTOFF, GAUSS_CUTOFF, [0.0]), (GAUSS_CUTOFF, np.inf, None))
-    value = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for lo, hi, pts in segments:
-            v, _ = quad(f, lo, hi, points=pts, limit=300, epsabs=tol / 3.0, epsrel=0.0)
-            value += v
-    return value
-
-
 @lru_cache(maxsize=None)
 def _hermite_coeff_cached(d: float, k: int, side: str, tol: float) -> float:
-    def integrand(z: float) -> float:
-        return _transformed(z, d, side) * float(hermite(k, z)) * float(norm_phi(z))
-
-    return _quad_gauss(integrand, tol)
+    return integrate_gauss_weight(lambda z: _transformed(z, d, side) * float(hermite(k, z)), tol)
 
 
 def hermite_coeff(d: float, k: int, side: Side, tol: float = QUAD_TOL) -> float:
@@ -110,10 +86,7 @@ def hermite_coeff(d: float, k: int, side: Side, tol: float = QUAD_TOL) -> float:
 
 @lru_cache(maxsize=None)
 def _product_moment_cached(d1: float, d2: float, side: str, tol: float) -> float:
-    def integrand(z: float) -> float:
-        return _transformed(z, d1, side) * _transformed(z, d2, side) * float(norm_phi(z))
-
-    return _quad_gauss(integrand, tol)
+    return integrate_gauss_weight(lambda z: _transformed(z, d1, side) * _transformed(z, d2, side), tol)
 
 
 def transform_product_moment(d1: float, d2: float, side: Side, tol: float = QUAD_TOL) -> float:

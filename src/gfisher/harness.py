@@ -14,11 +14,10 @@ from typing import Literal, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import ndtr
 
 from . import dependence, methods, omnibus
 from .kernels import chisq_inv_sf
-from .statistic import GFisherDef, evaluate_many
+from .statistic import GFisherDef, evaluate_many, z_to_pvalues
 from .surrogates import MomentSummary
 
 __all__ = [
@@ -122,12 +121,8 @@ def sample_null(config: SimConfig, nreps: int | None = None, stream: int = 0):
         yield config.draw(b, size, stream)
 
 
-def _side_pvalues(z: np.ndarray, side: str) -> np.ndarray:
-    return ndtr(-z) if side == "one" else 2.0 * ndtr(-np.abs(z))
-
-
 def _statistics_batch(gdef: GFisherDef, z: np.ndarray, side: str) -> np.ndarray:
-    return evaluate_many(gdef, _side_pvalues(z, side))
+    return evaluate_many(gdef, z_to_pvalues(z, side))
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +322,7 @@ def _omnibus_counter(panel, method: str, config: SimConfig, alphas: np.ndarray, 
         raise ValueError("panel and simulation config disagree on sidedness")
 
     def component_matrix(z: np.ndarray) -> np.ndarray:
-        pv = _side_pvalues(z, config.side)
+        pv = z_to_pvalues(z, config.side)
         cols = []
         for g, null in zip(panel.defs, panel.fitted):
             t = evaluate_many(g, pv)
@@ -338,8 +333,7 @@ def _omnibus_counter(panel, method: str, config: SimConfig, alphas: np.ndarray, 
 
         def count_batch(z: np.ndarray) -> tuple[np.ndarray, int]:
             pj = np.clip(component_matrix(z), 1e-300, 1.0 - 1e-16)
-            stat = np.mean(1.0 / np.tan(np.pi * pj), axis=1)
-            p = 0.5 - np.arctan(stat) / np.pi
+            p = omnibus.cauchy_sf(omnibus.cc_statistic(pj))
             return np.array([np.count_nonzero(p < a) for a in alphas]), 0
 
         return count_batch

@@ -7,7 +7,6 @@ built on top of these primitives.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -24,7 +23,6 @@ __all__ = [
     "MAX_HERMITE_ORDER",
     "PROB_CLAMP_LO",
     "PROB_CLAMP_HI",
-    "QuadratureRule",
     "chisq_cdf",
     "chisq_inv",
     "chisq_inv_sf",
@@ -33,7 +31,6 @@ __all__ = [
     "gamma_cdf",
     "gamma_inv",
     "gamma_sf",
-    "gauss_hermite_rule",
     "hermite",
     "integrate_gauss_weight",
     "norm_cdf",
@@ -172,47 +169,6 @@ def hermite(k: int, z):
     for j in range(1, k):
         prev, cur = cur, z * cur - j * prev
     return cur
-
-
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Nodes and weights for integration against the standard normal weight."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    domain: tuple[float, float] = field(default=(-np.inf, np.inf))
-
-    def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if nodes.shape != weights.shape or nodes.ndim != 1:
-            raise ValueError("nodes and weights must be 1-D arrays of equal length")
-        if np.any(np.diff(nodes) <= 0):
-            raise ValueError("nodes must be strictly increasing")
-        if np.any(weights <= 0):
-            raise ValueError("weights must all be positive")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "weights", weights)
-
-    def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
-
-
-def gauss_hermite_rule(n: int) -> QuadratureRule:
-    """Gauss-Hermite rule in probabilists' normalization (weight phi(z)).
-
-    Golub-Welsch on the symmetric tridiagonal recurrence matrix; exact for
-    polynomials up to degree 2n - 1.
-    """
-    if n < 1:
-        raise ValueError("rule order must be >= 1")
-    if n == 1:
-        return QuadratureRule(np.zeros(1), np.ones(1))
-    off = np.sqrt(np.arange(1, n, dtype=float))
-    vals, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    weights = vecs[0, :] ** 2  # total mass of phi is 1
-    order = np.argsort(vals)
-    return QuadratureRule(vals[order], weights[order])
 
 
 def integrate_gauss_weight(f, tol: float = 1e-10) -> float:

@@ -3,7 +3,8 @@
 A method is fitted once per (definition, correlation matrix) into a
 ``NullApprox`` whose vectorized survival function prices any number of
 observed statistic values; this is what the simulation harness streams
-against. ``compute_pvalue`` is the one-shot convenience wrapper.
+against. ``NullApprox.pvalue`` is the one place a fitted method becomes a
+p-value result, and ``compute_pvalue`` is the one-shot wrapper around it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from . import dependence, qform, surrogates
-from .kernels import gamma_sf
+from .kernels import PROB_CLAMP_LO, gamma_sf
 from .statistic import GFisherDef, InputPanel, PValueResult, evaluate, to_pvalues
 from .surrogates import MomentSummary
 
@@ -28,18 +29,27 @@ _TWO_SIDED_ONLY = ("q", "hyb")
 
 @dataclass
 class NullApprox:
-    """A fitted null approximation: evaluate ``survival`` at observed values."""
+    """A fitted null approximation: evaluate ``survival`` at observed values.
+
+    ``inversion`` (q only) prices one value with its certified error bound,
+    which ``pvalue`` reports next to the p-value.
+    """
 
     method: str
     gdef: GFisherDef
     survival: Callable[[np.ndarray], np.ndarray]
     diagnostics: dict = field(default_factory=dict)
+    inversion: Callable[[float], qform.CdfOutcome] | None = None
 
     def pvalue(self, t_obs: float) -> PValueResult:
-        p = float(np.asarray(self.survival(np.asarray([t_obs], dtype=float)))[0])
-        return PValueResult(
-            p, float(t_obs), self.method, side=self.gdef.side, diagnostics=dict(self.diagnostics)
-        )
+        diag = dict(self.diagnostics)
+        if self.inversion is None:
+            p = float(np.asarray(self.survival(np.asarray([t_obs], dtype=float)))[0])
+        else:
+            out = self.inversion(float(t_obs))
+            p = out.value
+            diag.update({"qf_error_bound": out.error_bound, "qf_converged": out.converged, "qf_method": out.method})
+        return PValueResult(p, float(t_obs), self.method, side=self.gdef.side, diagnostics=diag)
 
 
 def analytic_moments(gdef: GFisherDef, sigma, kstar: int = dependence.DEFAULT_KSTAR) -> MomentSummary:
@@ -122,11 +132,13 @@ def _fit(gdef, sigma, method: str, cov, kstar: int, moments, qf_acc: float) -> N
     if method == "q":
         diag["qf_acc"] = qf_acc
 
-        def surv(t: np.ndarray) -> np.ndarray:
-            t = np.atleast_1d(np.asarray(t, dtype=float))
-            return np.array([qform.qform_sf(spec, x, qf_acc) for x in t])
+        def inversion(x: float) -> qform.CdfOutcome:
+            return qform.qform_sf(spec, x, qf_acc)
 
-        return NullApprox(method, gdef, surv, diag)
+        def surv(t: np.ndarray) -> np.ndarray:
+            return np.array([inversion(x).value for x in np.atleast_1d(np.asarray(t, dtype=float))])
+
+        return NullApprox(method, gdef, surv, diag, inversion)
 
     if method == "hyb":
         diag["shape"] = shape = qform.hybrid_shape(spec)
@@ -167,16 +179,11 @@ def compute_pvalue(
     """One-shot p-value: inputs -> p-values -> statistic -> fitted survival."""
     panel = values if isinstance(values, InputPanel) else InputPanel(values, kind=kind)
     pvals = to_pvalues(panel, gdef.side)
-    n_zero = int(np.count_nonzero(pvals <= 0.0))
+    n_clamped = int(np.count_nonzero(pvals < PROB_CLAMP_LO))  # the transform clamps these up
     t_obs = evaluate(gdef, pvals)
     method, needs_cov = _check(gdef, method, moments)
     series = dependence.cov_series([gdef], sigma, kstar, full=[needs_cov])
-    if method == "q":
-        # the single-point path reports the achieved inversion bound
-        spec = qform.eigen_spec(gdef, qform.build_m(gdef, sigma, series.covs[0]))
-        result = qform._pvalue_q(gdef, spec, t_obs, kstar, qf_acc)
-    else:
-        result = _fit(gdef, sigma, method, series.covs[0], kstar, moments, qf_acc).pvalue(t_obs)
-    result.diagnostics["clamped_inputs"] = n_zero
+    result = _fit(gdef, sigma, method, series.covs[0], kstar, moments, qf_acc).pvalue(t_obs)
+    result.diagnostics["clamped_inputs"] = n_clamped
     result.diagnostics["cov_last_term"] = series.last_terms[0]
     return result

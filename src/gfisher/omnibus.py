@@ -123,18 +123,19 @@ def component_pvalues(panel: OmnibusPanel, values, kind: str = "z") -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def cc_statistic(pj: np.ndarray) -> float:
-    """Mean of tan((1/2 - P(j)) pi), computed as cot(pi P(j)) for stability."""
-    return float(np.mean(1.0 / np.tan(np.pi * pj)))
+def cc_statistic(pj: np.ndarray) -> np.ndarray:
+    """Mean over the last axis of tan((1/2 - P(j)) pi), computed as cot(pi P(j)) for stability."""
+    return np.mean(1.0 / np.tan(np.pi * pj), axis=-1)
 
 
-def cauchy_sf(x: float) -> float:
-    """Standard Cauchy survival 1/2 - arctan(x)/pi, accurate in both tails."""
-    if x > 1.0:
-        return float(np.arctan(1.0 / x) / np.pi)
-    if x < -1.0:
-        return float(1.0 - np.arctan(-1.0 / x) / np.pi)
-    return float(0.5 - np.arctan(x) / np.pi)
+def cauchy_sf(x) -> np.ndarray:
+    """Standard Cauchy survival 1/2 - arctan(x)/pi, elementwise and accurate in both tails."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(divide="ignore"):
+        inv = 1.0 / x  # used only where |x| > 1
+    upper = np.arctan(inv) / np.pi
+    lower = 1.0 - np.arctan(-inv) / np.pi
+    return np.where(x > 1.0, upper, np.where(x < -1.0, lower, 0.5 - np.arctan(x) / np.pi))
 
 
 def pvalue_cc(component_pvals) -> PValueResult:
@@ -146,9 +147,9 @@ def pvalue_cc(component_pvals) -> PValueResult:
     pj = np.atleast_1d(np.asarray(component_pvals, dtype=float))
     clamped = int(np.count_nonzero((pj <= 0.0) | (pj >= 1.0)))
     pj = np.clip(pj, 1e-300, 1.0 - 1e-16)
-    stat = cc_statistic(pj)
+    stat = float(cc_statistic(pj))
     diag = {"component_pvalues": pj.tolist(), "clamped_components": clamped}
-    return PValueResult(cauchy_sf(stat), stat, "omnibus_cc", diagnostics=diag)
+    return PValueResult(float(cauchy_sf(stat)), stat, "omnibus_cc", diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from . import dependence
-from .statistic import GFisherDef, PValueResult
+from .statistic import GFisherDef
 from .surrogates import MomentSummary
 
 __all__ = [
@@ -30,10 +30,6 @@ __all__ = [
     "eigen_spec",
     "hybrid_moments",
     "hybrid_shape",
-    "pvalue_hyb",
-    "pvalue_q",
-    "qform_cdf",
-    "qform_cdf_detail",
     "qform_sf",
     "qform_spec",
     "spec_diagnostics",
@@ -288,11 +284,18 @@ def _imhof_survival(lams: np.ndarray, x: float, acc: float) -> CdfOutcome:
     )
 
 
-def _survival_detail(lams: np.ndarray, x: float, acc: float) -> CdfOutcome:
-    lams = np.asarray(lams, dtype=float)
+def qform_sf(spec: QuadFormSpec | np.ndarray, x: float, acc: float = DEFAULT_QF_ACC) -> CdfOutcome:
+    """P(Q > x) for Q = sum_j lambda_j chi2_1, with its certified error bound.
+
+    The lattice inversion runs first; when it cannot certify ``acc``, the
+    Imhof quadrature is taken instead if its bound is smaller. Exactly 1 at
+    x <= 0.
+    """
+    lams = spec.lambdas if isinstance(spec, QuadFormSpec) else np.asarray(spec, dtype=float)
     lams = lams[lams > 0.0]
     if lams.size == 0:
         raise ValueError("the eigenvalue spectrum is empty")
+    x = float(x)
     if x <= 0.0:
         return CdfOutcome(1.0, 0.0, True, 0, "exact")
     out = _lattice_survival(lams, x, acc)
@@ -303,26 +306,8 @@ def _survival_detail(lams: np.ndarray, x: float, acc: float) -> CdfOutcome:
     return out
 
 
-def qform_cdf_detail(spec: QuadFormSpec | np.ndarray, x: float, acc: float = DEFAULT_QF_ACC) -> CdfOutcome:
-    """P(Q <= x) with its certified error bound and convergence flag."""
-    lams = spec.lambdas if isinstance(spec, QuadFormSpec) else np.asarray(spec, dtype=float)
-    out = _survival_detail(lams, float(x), acc)
-    return CdfOutcome(1.0 - out.value, out.error_bound, out.converged, out.n_terms, out.method)
-
-
-def qform_cdf(spec: QuadFormSpec | np.ndarray, x: float, acc: float = DEFAULT_QF_ACC) -> float:
-    """P(Q <= x) for Q = sum_j lambda_j chi2_1; zero at x <= 0."""
-    return qform_cdf_detail(spec, x, acc).value
-
-
-def qform_sf(spec: QuadFormSpec | np.ndarray, x: float, acc: float = DEFAULT_QF_ACC) -> float:
-    """P(Q > x), tail-accurate down to the requested absolute accuracy."""
-    lams = spec.lambdas if isinstance(spec, QuadFormSpec) else np.asarray(spec, dtype=float)
-    return _survival_detail(lams, float(x), acc).value
-
-
 # ---------------------------------------------------------------------------
-# P-value paths
+# Spectrum summaries
 # ---------------------------------------------------------------------------
 
 
@@ -335,31 +320,6 @@ def spec_diagnostics(spec: QuadFormSpec, gdef: GFisherDef) -> dict:
         "trace_target": gdef.mean,
         "dropped_eigen_mass": spec.dropped_mass,
     }
-
-
-def pvalue_q(
-    gdef: GFisherDef,
-    sigma,
-    t_obs: float,
-    kstar: int = dependence.DEFAULT_KSTAR,
-    acc: float = DEFAULT_QF_ACC,
-) -> PValueResult:
-    """P-value from the full quadratic-form surrogate distribution."""
-    return _pvalue_q(gdef, qform_spec(gdef, sigma, kstar), t_obs, kstar, acc)
-
-
-def _pvalue_q(gdef: GFisherDef, spec: QuadFormSpec, t_obs: float, kstar: int, acc: float) -> PValueResult:
-    out = _survival_detail(spec.lambdas, float(t_obs), acc)
-    diag = spec_diagnostics(spec, gdef)
-    diag.update(
-        {
-            "qf_error_bound": out.error_bound,
-            "qf_converged": out.converged,
-            "qf_method": out.method,
-            "kstar": kstar,
-        }
-    )
-    return PValueResult(out.value, float(t_obs), "q", side=gdef.side, diagnostics=diag)
 
 
 def hybrid_moments(spec: QuadFormSpec) -> MomentSummary:
@@ -386,33 +346,3 @@ def hybrid_shape(spec: QuadFormSpec) -> float:
     lam = spec.lambdas
     s2, s3, s4 = (float(np.sum(lam**t)) for t in (2, 3, 4))
     return s2 * s3**2 / (2.0 * s4**2)
-
-
-def pvalue_hyb(
-    gdef: GFisherDef,
-    sigma,
-    t_obs: float,
-    kstar: int = dependence.DEFAULT_KSTAR,
-) -> PValueResult:
-    """Moment-ratio gamma p-value with shape from the quadratic-form spectrum.
-
-    Fully analytic: the shape comes from the surrogate's higher cumulants,
-    while standardization uses the exact first two moments of the statistic.
-    """
-    cov = dependence.cov_matrix(gdef, sigma, kstar)
-    spec = eigen_spec(gdef, build_m(gdef, sigma, cov))
-    shape = hybrid_shape(spec)
-    mu = gdef.mean
-    var = float(gdef.weights @ cov @ gdef.weights)
-    z = (float(t_obs) - mu) / np.sqrt(var)
-    arg = z * np.sqrt(shape) + shape
-    diag = spec_diagnostics(spec, gdef)
-    diag.update({"shape": shape, "kstar": kstar})
-    if arg <= 0.0:
-        diag["support_clamp"] = True
-        return PValueResult(1.0, float(t_obs), "hyb", side=gdef.side, diagnostics=diag)
-    from .kernels import gamma_sf
-
-    return PValueResult(
-        float(gamma_sf(arg, shape)), float(t_obs), "hyb", side=gdef.side, diagnostics=diag
-    )

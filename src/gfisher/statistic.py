@@ -24,6 +24,7 @@ __all__ = [
     "to_pvalues",
     "transform",
     "validate_side",
+    "z_to_pvalues",
 ]
 
 Side = Literal["one", "two"]
@@ -153,7 +154,11 @@ def to_pvalues(panel: InputPanel, side: Side) -> np.ndarray:
     validate_side(side)
     if panel.kind == "p":
         return panel.values.copy()
-    z = panel.values
+    return z_to_pvalues(panel.values, side)
+
+
+def z_to_pvalues(z, side: Side) -> np.ndarray:
+    """P-values of z-scores, elementwise: 1 - Phi(z) one-sided, 2 Phi(-|z|) two-sided."""
     if side == "one":
         return ndtr(-z)
     return 2.0 * ndtr(-np.abs(z))

@@ -17,9 +17,6 @@ from typing import Literal
 import numpy as np
 from scipy.special import gammaln
 
-from .kernels import gamma_sf
-from .statistic import PValueResult
-
 __all__ = [
     "GGDSurrogate",
     "GammaSurrogate",
@@ -31,8 +28,6 @@ __all__ = [
     "ggd_cdf",
     "ggd_moment",
     "ggd_sf",
-    "pvalue_gamma",
-    "pvalue_ggd",
 ]
 
 MomentSource = Literal["analytic", "empirical", "qsurrogate"]
@@ -126,25 +121,6 @@ def fit_mr(m: MomentSummary) -> GammaSurrogate:
     if skew <= 0 or abs(exkurt) < MR_DEGENERATE_EPS or exkurt <= 0:
         return GammaSurrogate(shape=m.mu**2 / m.var, degenerate_fallback=True)
     return GammaSurrogate(shape=9.0 * skew**2 / exkurt**2)
-
-
-def pvalue_gamma(surrogate: GammaSurrogate, m: MomentSummary, t_obs: float) -> PValueResult:
-    """Survival of the standardized gamma surrogate at the observed statistic.
-
-    Observed values whose standardized gamma argument falls at or below zero
-    are never significant; they clamp to p = 1 with a flag.
-    """
-    a = surrogate.shape
-    z = (float(t_obs) - m.mu) / m.sd
-    arg = z * np.sqrt(a) + a
-    diag = {"shape": a, "moment_source": m.source}
-    if surrogate.degenerate_fallback:
-        diag["mr_fallback_gb"] = True
-    if arg <= 0.0:
-        diag["support_clamp"] = True
-        return PValueResult(1.0, float(t_obs), "gamma", diagnostics=diag)
-    p = float(gamma_sf(arg, a))
-    return PValueResult(p, float(t_obs), "gamma", diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -370,20 +346,3 @@ def fit_ggd(m: MomentSummary, variant: Literal["m123", "m234", "mr"] = "m123") -
         return GGDSurrogate(a, theta, p, 0.0, resid, variant)
 
     raise ValueError(f"unknown GGD variant {variant!r}")
-
-
-def pvalue_ggd(surrogate: GGDSurrogate, t_obs: float, m: MomentSummary | None = None) -> PValueResult:
-    """Survival of the fitted generalized gamma at the observed statistic."""
-    diag = {
-        "variant": surrogate.variant,
-        "params": [surrogate.shape, surrogate.scale, surrogate.power, surrogate.loc],
-        "fit_residual": surrogate.residual,
-    }
-    if m is not None:
-        diag["moment_source"] = m.source
-    t = float(t_obs)
-    if t <= surrogate.loc:
-        diag["support_clamp"] = True
-        return PValueResult(1.0, t, "ggd_" + surrogate.variant, diagnostics=diag)
-    p = float(ggd_sf(t, surrogate.shape, surrogate.scale, surrogate.power, surrogate.loc))
-    return PValueResult(p, t, "ggd_" + surrogate.variant, diagnostics=diag)

@@ -14,7 +14,7 @@ from gfisher import dependence, harness, methods, omnibus, qform
 from gfisher.dependence import cov_summands, gen_structure, nearest_correlation
 from gfisher.kernels import chisq_inv_sf
 from gfisher.statistic import GFisherDef, evaluate_many, transform
-from gfisher.surrogates import MomentSummary, NoSolutionError, fit_ggd, fit_mr, pvalue_gamma
+from gfisher.surrogates import MomentSummary, NoSolutionError, fit_ggd
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -68,13 +68,12 @@ def test_criterion_03_independence_exactness():
         sigma = np.eye(n)
         t_grid = chisq_inv_sf(p_targets, 2 * n)
         mom = independent_sum_moments(g)
+        nulls = {
+            name: methods.fit_null(g, sigma, name, moments=mom if name == "mr" else None)
+            for name in ("gb", "mr", "q", "hyb")
+        }
         for t, p_exact in zip(t_grid, p_targets):
-            got = {
-                "gb": methods.fit_null(g, sigma, "gb").pvalue(t).pvalue,
-                "mr": pvalue_gamma(fit_mr(mom), mom, t).pvalue,
-                "q": qform.pvalue_q(g, sigma, t).pvalue,
-                "hyb": qform.pvalue_hyb(g, sigma, t).pvalue,
-            }
+            got = {name: null.pvalue(t).pvalue for name, null in nulls.items()}
             for name, val in got.items():
                 worst = max(worst, abs(val - p_exact))
     ok = worst <= 1e-5
@@ -155,8 +154,8 @@ def test_criterion_06_q_exactness_at_d1():
         var = 2.0 * float(np.sum(lams**2))
         for z in (0.0, 2.0, 5.0):
             t = g.mean + z * np.sqrt(var)
-            via_surrogate = qform.pvalue_q(g, s, t, acc=1e-10).pvalue
-            direct = 1.0 - qform.qform_cdf(lams, t, acc=1e-10)
+            via_surrogate = methods.fit_null(g, s, "q", qf_acc=1e-10).pvalue(t).pvalue
+            direct = qform.qform_sf(lams, t, acc=1e-10).value
             worst = max(worst, abs(via_surrogate - direct))
     ok = worst <= 1e-8
     report(6, "unit-degree surrogate equals direct evaluation", ok, f"max |dp|={worst:.2e}")

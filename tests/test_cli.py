@@ -90,6 +90,26 @@ class TestPvalueCommand:
             outs.append(json.loads(capsys.readouterr().out)["pvalue"])
         assert outs[0] == pytest.approx(outs[1], abs=1e-6)
 
+    @pytest.mark.parametrize("method", ["gb", "q", "hyb"])
+    @pytest.mark.parametrize("moments", ["qform", "empirical"])
+    def test_moments_rejected_for_methods_without_moments(self, workdir, capsys, method, moments):
+        code = main(
+            [
+                "pvalue",
+                "--stat", str(workdir / "stat.json"),
+                "--sigma", str(workdir / "sigma.csv"),
+                "--input", str(workdir / "p.csv"),
+                "--kind", "p",
+                "--method", method,
+                "--moments", moments,
+            ]
+        )
+        assert code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["type"] == "invalid_input"
+        assert "--moments" in payload["error"]["message"]
+        load_schema_validator("error.schema.json").validate(payload)
+
     def test_q_one_sided_exits_2(self, workdir, capsys):
         stat = workdir / "one.json"
         stat.write_text(json.dumps({"degrees": [2, 2, 2], "side": "one"}))

@@ -1,9 +1,12 @@
 """Covariance series, correlation structures, and matrix plumbing."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from gfisher import dependence
 from gfisher.dependence import (
     CorrMatrix,
     cov_matrix,
@@ -13,6 +16,7 @@ from gfisher.dependence import (
     hermite_coeff,
     nearest_correlation,
     same_index_cov,
+    transform_product_moment,
     var_T,
 )
 from gfisher.statistic import GFisherDef
@@ -36,6 +40,30 @@ class TestHermiteCoeff:
             hermite_coeff(2.0, 0, "two")
         with pytest.raises(ValueError):
             hermite_coeff(-1.0, 2, "two")
+
+
+class TestCoefficientQuadrature:
+    """Coefficients and product moments are integrated by ``kernels.integrate_gauss_weight``,
+    which warns when it cannot certify the tolerance."""
+
+    @pytest.fixture(autouse=True)
+    def cold_caches(self):
+        dependence._hermite_coeff_cached.cache_clear()
+        dependence._product_moment_cached.cache_clear()
+
+    def test_warns_where_tolerance_is_missed(self):
+        with pytest.warns(RuntimeWarning, match="gauss-weight quadrature"):
+            hermite_coeff(2.0, 12, "two")
+
+    @pytest.mark.parametrize("side", ["one", "two"])
+    def test_silent_up_to_default_order(self, side):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in (0.5, 1.0, 2.0, 3.0, 4.5, 8.0):
+                for k in range(1, dependence.DEFAULT_KSTAR + 1):
+                    hermite_coeff(d, k, side)
+                for d2 in (1.0, 2.0, 3.5):
+                    transform_product_moment(d, d2, side)
 
 
 class TestCovSummands:

@@ -140,19 +140,8 @@ class TestQuadrature:
     def test_fourth_moment(self):
         assert kernels.integrate_gauss_weight(lambda z: z**4) == pytest.approx(3.0, abs=1e-10)
 
-    def test_rule_validation(self):
-        with pytest.raises(ValueError):
-            kernels.QuadratureRule(np.array([0.0, 0.0]), np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            kernels.QuadratureRule(np.array([0.0, 1.0]), np.array([0.5, -0.5]))
-        with pytest.raises(ValueError):
-            kernels.QuadratureRule(np.array([0.0, 1.0]), np.array([0.5]))
-
-    def test_gauss_hermite_rule_moments(self):
-        rule = kernels.gauss_hermite_rule(20)
-        assert rule.integrate(lambda z: np.ones_like(z)) == pytest.approx(1.0, rel=1e-12)
-        assert rule.integrate(lambda z: z**2) == pytest.approx(1.0, rel=1e-12)
-        assert rule.integrate(lambda z: z**6) == pytest.approx(15.0, rel=1e-10)
+    def test_sixth_moment(self):
+        assert kernels.integrate_gauss_weight(lambda z: z**6) == pytest.approx(15.0, rel=1e-10)
 
 
 class TestClamp:

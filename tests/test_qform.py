@@ -5,16 +5,14 @@ import pytest
 
 from gfisher import dependence
 from gfisher.kernels import chisq_cdf, gamma_cdf
+from gfisher.methods import fit_null
 from gfisher.qform import (
     QuadFormSpec,
     build_m,
     eigen_spec,
     hybrid_moments,
     hybrid_shape,
-    pvalue_hyb,
-    pvalue_q,
-    qform_cdf,
-    qform_cdf_detail,
+    qform_sf,
     qform_spec,
     _imhof_survival,
 )
@@ -23,6 +21,11 @@ from gfisher.statistic import GFisherDef
 
 def fisher_two_sided(n):
     return GFisherDef.fisher(n, side="two")
+
+
+def q_cdf(spec, x, acc=1e-9):
+    """P(Q <= x) as the complement of the certified survival."""
+    return 1.0 - qform_sf(spec, x, acc).value
 
 
 class TestBuildM:
@@ -149,7 +152,7 @@ class TestSurrogateDistribution:
             q += (z**2) @ (g.weights * active)
         for prob in (0.5, 0.9, 0.99, 0.999):
             x = np.quantile(q, prob)
-            got = qform_cdf(spec, float(x))
+            got = q_cdf(spec, float(x))
             se = np.sqrt(prob * (1 - prob) / nreps)
             assert abs(got - prob) < 4 * se, (prob, got)
 
@@ -163,43 +166,43 @@ class TestSurrogateDistribution:
 class TestQformCdf:
     def test_single_chi2_quantile(self):
         # frozen from chi2.ppf(0.95, 1)
-        assert qform_cdf(np.array([1.0]), 3.841458820694124) == pytest.approx(0.95, abs=1e-6)
+        assert q_cdf(np.array([1.0]), 3.841458820694124) == pytest.approx(0.95, abs=1e-6)
 
     def test_matches_chi2_sum(self):
-        assert qform_cdf(np.ones(6), 10.0) == pytest.approx(float(chisq_cdf(10.0, 6)), abs=1e-8)
+        assert q_cdf(np.ones(6), 10.0) == pytest.approx(float(chisq_cdf(10.0, 6)), abs=1e-8)
 
     def test_zero_and_negative_x(self):
-        assert qform_cdf(np.array([2.0, 1.0]), 0.0) == 0.0
-        assert qform_cdf(np.array([2.0, 1.0]), -3.0) == 0.0
+        assert q_cdf(np.array([2.0, 1.0]), 0.0) == 0.0
+        assert q_cdf(np.array([2.0, 1.0]), -3.0) == 0.0
 
     @pytest.mark.parametrize("k", [1, 2, 6, 20])
     def test_equal_lambdas_match_gamma(self, k):
         lam = np.full(k, 0.7)
         for x in (0.2 * k, 0.7 * k, 1.4 * k, 3.0 * k):
             expected = float(gamma_cdf(x, k / 2.0, 2.0 * 0.7))
-            assert qform_cdf(lam, x) == pytest.approx(expected, abs=1e-8)
+            assert q_cdf(lam, x) == pytest.approx(expected, abs=1e-8)
 
     def test_monotone_in_x(self):
         lam = np.array([2.0, 1.0, 0.5])
         grid = np.linspace(0.1, 30, 60)
-        vals = [qform_cdf(lam, x) for x in grid]
+        vals = [q_cdf(lam, x) for x in grid]
         assert np.all(np.diff(vals) > -1e-12)
 
     def test_certified_error_bound(self):
-        out = qform_cdf_detail(np.array([1.5, 0.5, 0.25]), 5.0, acc=1e-9)
+        out = qform_sf(np.array([1.5, 0.5, 0.25]), 5.0, acc=1e-9)
         assert out.converged and out.error_bound <= 1e-9
 
     def test_agrees_with_imhof(self):
         # the lattice and adaptive-quadrature integrators are independent paths
         lam = np.array([2.0, 1.0, 0.5, 0.5, 0.2])
         for x in (1.0, 5.0, 12.0, 25.0):
-            davies = 1.0 - qform_cdf(lam, x, acc=1e-10)
+            davies = qform_sf(lam, x, acc=1e-10).value
             imhof = _imhof_survival(lam, x, 1e-9)
             assert davies == pytest.approx(imhof.value, abs=2e-8)
 
     def test_empty_spectrum_rejected(self):
         with pytest.raises(ValueError):
-            qform_cdf(np.zeros(3), 1.0)
+            q_cdf(np.zeros(3), 1.0)
 
 
 class TestHybridMoments:
@@ -245,13 +248,13 @@ class TestPvalueQ:
     def test_independent_fisher_exact(self):
         # frozen from chi2.ppf(0.99, 10)
         g = fisher_two_sided(5)
-        res = pvalue_q(g, np.eye(5), 23.209251158954356)
+        res = fit_null(g, np.eye(5), "q").pvalue(23.209251158954356)
         assert res.pvalue == pytest.approx(0.01, abs=1e-6)
 
     def test_one_sided_rejected(self):
         g = GFisherDef.fisher(5, side="one")
         with pytest.raises(ValueError):
-            pvalue_q(g, np.eye(5), 10.0)
+            fit_null(g, np.eye(5), "q").pvalue(10.0)
 
     def test_d1_exactness_any_sigma(self):
         # with all d = 1 the surrogate equals the statistic itself: its
@@ -268,7 +271,7 @@ class TestPvalueQ:
 
     def test_diagnostics_present(self):
         g = fisher_two_sided(3)
-        res = pvalue_q(g, np.eye(3), 5.0)
+        res = fit_null(g, np.eye(3), "q").pvalue(5.0)
         assert res.diagnostics["qf_converged"]
         assert res.diagnostics["m_clamp_count"] == 0
 
@@ -277,8 +280,9 @@ class TestPvalueQ:
         from gfisher.kernels import chisq_sf
 
         g = fisher_two_sided(1)
+        null = fit_null(g, np.eye(1), "q")
         for t in (0.5, 3.0, 12.0):
-            res = pvalue_q(g, np.eye(1), t)
+            res = null.pvalue(t)
             assert res.pvalue == pytest.approx(float(chisq_sf(t, 2)), abs=1e-9)
 
 
@@ -287,14 +291,14 @@ class TestPvalueHyb:
         from gfisher.kernels import chisq_sf
 
         g = fisher_two_sided(5)
-        res = pvalue_hyb(g, np.eye(5), 23.209251158954356)
+        res = fit_null(g, np.eye(5), "hyb").pvalue(23.209251158954356)
         assert res.pvalue == pytest.approx(float(chisq_sf(23.209251158954356, 10)), abs=1e-9)
 
     def test_single_fisher_summand(self):
         from gfisher.kernels import chisq_sf
 
         g = fisher_two_sided(1)
-        res = pvalue_hyb(g, np.eye(1), 4.0)
+        res = fit_null(g, np.eye(1), "hyb").pvalue(4.0)
         assert res.diagnostics["shape"] == pytest.approx(1.0, rel=1e-10)
         assert res.pvalue == pytest.approx(float(chisq_sf(4.0, 2)), rel=1e-9)
 
@@ -309,9 +313,10 @@ class TestPvalueHyb:
                 if np.linalg.eigvalsh(s)[0] < -1e-10:
                     s = dependence.nearest_correlation(s)  # the simulated target
                 var = dependence.var_T(g, s)
+                q, hyb = fit_null(g, s, "q"), fit_null(g, s, "hyb")
                 for z in (1.0, 3.0, 6.0, 10.0):
                     t = g.mean + z * np.sqrt(var)
-                    pq = pvalue_q(g, s, t).pvalue
-                    ph = pvalue_hyb(g, s, t).pvalue
+                    pq = q.pvalue(t).pvalue
+                    ph = hyb.pvalue(t).pvalue
                     if min(pq, ph) >= 1e-6:
                         assert abs(np.log10(pq) - np.log10(ph)) <= 0.2, (kind, block, z)

@@ -6,7 +6,8 @@ import pytest
 from gfisher import dependence, methods, omnibus, qform
 from gfisher.dependence import cov_matrix, cov_summands, cross_cov, gen_structure, truncation_diagnostic, var_T
 from gfisher.statistic import GFisherDef
-from gfisher.surrogates import GammaSurrogate, MomentSummary, fit_gb, pvalue_gamma
+from gfisher.kernels import gamma_sf
+from gfisher.surrogates import MomentSummary, fit_gb
 
 CASES = {
     "equal_mixed": (
@@ -39,7 +40,7 @@ class TestComputePvalueMatchesPieces:
         res = methods.compute_pvalue(g, sigma, z, method="gb")
         _, var, last = _pieces(g, sigma)
         m = MomentSummary(mu=g.mean, var=var)
-        assert res.pvalue == pvalue_gamma(fit_gb(m), m, res.statistic).pvalue
+        assert res.pvalue == methods.fit_null(g, sigma, "gb", moments=m).pvalue(res.statistic).pvalue
         assert res.diagnostics["shape"] == fit_gb(m).shape
         assert res.diagnostics["cov_last_term"] == last
 
@@ -49,7 +50,8 @@ class TestComputePvalueMatchesPieces:
         spec, var, last = _pieces(g, sigma)
         shape = qform.hybrid_shape(spec)
         m = MomentSummary(mu=g.mean, var=var)
-        assert res.pvalue == pvalue_gamma(GammaSurrogate(shape), m, res.statistic).pvalue
+        # the standardized gamma survival at sqrt(a) z + a
+        assert res.pvalue == float(gamma_sf((res.statistic - m.mu) / m.sd * np.sqrt(shape) + shape, shape))
         assert res.diagnostics["shape"] == shape
         for key, val in qform.spec_diagnostics(spec, g).items():
             assert res.diagnostics[key] == val, key
@@ -59,19 +61,13 @@ class TestComputePvalueMatchesPieces:
         sigma, g, z = case
         res = methods.compute_pvalue(g, sigma, z, method="q")
         spec, _, last = _pieces(g, sigma)
-        out = qform.qform_cdf_detail(spec, res.statistic)
-        assert res.pvalue == qform.qform_sf(spec, res.statistic)
+        out = qform.qform_sf(spec, res.statistic)
+        assert res.pvalue == out.value
         assert res.diagnostics["qf_error_bound"] == out.error_bound
         assert res.diagnostics["qf_method"] == out.method
         for key, val in qform.spec_diagnostics(spec, g).items():
             assert res.diagnostics[key] == val, key
         assert res.diagnostics["cov_last_term"] == last
-
-    def test_thin_views_agree_with_compute_pvalue(self, case):
-        sigma, g, z = case
-        for method, view in (("q", qform.pvalue_q), ("hyb", qform.pvalue_hyb)):
-            res = methods.compute_pvalue(g, sigma, z, method=method)
-            assert view(g, sigma, res.statistic).pvalue == res.pvalue
 
 
 class TestPanelSeries:

@@ -1,8 +1,10 @@
-"""Gamma and generalized-gamma surrogate fits and their p-value paths."""
+"""Gamma and generalized-gamma surrogate fits, priced through the fitted null and ``ggd_sf``."""
 
 import numpy as np
 import pytest
 
+from gfisher.methods import fit_null
+from gfisher.statistic import GFisherDef
 from gfisher.surrogates import (
     GGDSurrogate,
     MomentSummary,
@@ -12,13 +14,21 @@ from gfisher.surrogates import (
     fit_mr,
     ggd_cdf,
     ggd_moment,
-    pvalue_gamma,
-    pvalue_ggd,
+    ggd_sf,
 )
 
 
 def chi2_moments(k: float) -> MomentSummary:
     return MomentSummary(mu=k, var=2 * k, skew=np.sqrt(8 / k), exkurt=12 / k)
+
+
+def gamma_null(method: str, m: MomentSummary):
+    """The gb or mr null fitted on the given moments (sigma is not read)."""
+    return fit_null(GFisherDef.fisher(1), np.eye(1), method, moments=m)
+
+
+def ggd_pvalue(sur: GGDSurrogate, t):
+    return float(ggd_sf(t, sur.shape, sur.scale, sur.power, sur.loc))
 
 
 class TestFitGB:
@@ -73,26 +83,25 @@ class TestPvalueGamma:
     def test_at_the_mean(self):
         # survival of Gamma(10, 1) at its own mean, frozen from gammaincc(10, 10)
         m = MomentSummary(mu=20.0, var=40.0)
-        res = pvalue_gamma(fit_gb(m), m, 20.0)
+        res = gamma_null("gb", m).pvalue(20.0)
         assert res.pvalue == pytest.approx(0.4579297144718523, rel=1e-12)
 
     def test_chi2_20_upper_quantile(self):
         # frozen from chi2.ppf(0.95, 20)
         m = chi2_moments(20.0)
-        res = pvalue_gamma(fit_mr(m), m, 31.410432844230918)
+        res = gamma_null("mr", m).pvalue(31.410432844230918)
         assert res.pvalue == pytest.approx(0.05, abs=1e-4)
 
     def test_support_clamp(self):
         m = MomentSummary(mu=20.0, var=40.0)
-        res = pvalue_gamma(fit_gb(m), m, 0.0)
+        res = gamma_null("gb", m).pvalue(0.0)
         assert res.pvalue == 1.0
-        assert res.diagnostics.get("support_clamp")
 
     def test_strictly_decreasing(self):
         m = chi2_moments(6.0)
-        sur = fit_mr(m)
+        null = gamma_null("mr", m)
         grid = np.linspace(0.5, 40.0, 1000)
-        pv = np.array([pvalue_gamma(sur, m, t).pvalue for t in grid])
+        pv = np.array([null.pvalue(t).pvalue for t in grid])
         assert np.all(np.diff(pv) < 0)
 
 
@@ -148,9 +157,9 @@ class TestIndependenceDeepTail:
         m = MomentSummary(mu, var, skew=16.0 * n / var**1.5, exkurt=96.0 * n / var**2)
         p_targets = np.array([1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 0.9, 1.0 - 1e-9])
         t_grid = chisq_inv_sf(p_targets, 2 * n)
-        for fit in (fit_gb, fit_mr):
-            sur = fit(m)
-            got = np.array([pvalue_gamma(sur, m, t).pvalue for t in t_grid])
+        for method in ("gb", "mr"):
+            null = gamma_null(method, m)
+            got = np.array([null.pvalue(t).pvalue for t in t_grid])
             np.testing.assert_allclose(got, p_targets, atol=1e-6)
 
 
@@ -159,31 +168,27 @@ class TestPvalueGGD:
         from scipy.stats import gamma as gamma_dist
 
         sur = GGDSurrogate(shape=10.0, scale=2.0, power=1.0)
-        res = pvalue_ggd(sur, 31.41)
-        assert res.pvalue == pytest.approx(float(gamma_dist.sf(31.41, 10.0, scale=2.0)), rel=1e-10)
+        p = ggd_pvalue(sur, 31.41)
+        assert p == pytest.approx(float(gamma_dist.sf(31.41, 10.0, scale=2.0)), rel=1e-10)
 
     def test_location_clamp(self):
         sur = GGDSurrogate(shape=2.0, scale=1.0, power=1.0, loc=5.0)
-        res = pvalue_ggd(sur, 4.0)
-        assert res.pvalue == 1.0
-        assert res.diagnostics.get("support_clamp")
+        assert ggd_pvalue(sur, 4.0) == 1.0
 
     def test_inversion_round_trip(self):
         # frozen: the 0.99 quantile of GGD(2, 2, 2) is 2 sqrt(-log 0.01)
         sur = GGDSurrogate(shape=2.0, scale=2.0, power=2.0)
-        res = pvalue_ggd(sur, 4.2919320525786935)
-        assert res.pvalue == pytest.approx(0.01, abs=1e-8)
+        p = ggd_pvalue(sur, 4.2919320525786935)
+        assert p == pytest.approx(0.01, abs=1e-8)
 
     def test_monotone_in_t(self):
         sur = GGDSurrogate(shape=2.0, scale=2.0, power=1.5)
         grid = np.linspace(0.1, 30, 1000)
-        pv = np.asarray([pvalue_ggd(sur, t).pvalue for t in grid])
+        pv = np.asarray([ggd_pvalue(sur, t) for t in grid])
         assert np.all(np.diff(pv) < 0)
 
     def test_cdf_sf_complement(self):
         sur = GGDSurrogate(shape=3.0, scale=1.5, power=0.8)
         x = np.linspace(0.01, 20, 50)
-        total = ggd_cdf(x, sur.shape, sur.scale, sur.power) + np.array(
-            [pvalue_ggd(sur, t).pvalue for t in x]
-        )
+        total = ggd_cdf(x, sur.shape, sur.scale, sur.power) + np.array([ggd_pvalue(sur, t) for t in x])
         np.testing.assert_allclose(total, 1.0, atol=1e-12)
