@@ -43,15 +43,17 @@ def _read_values(path: str) -> np.ndarray:
     return np.asarray(vals, dtype=float).ravel()
 
 
-def _read_def(path: str, side_flag: str | None) -> GFisherDef:
-    with open(path, encoding="utf-8") as fh:
-        spec = json.load(fh)
-    side = side_flag or spec.get("side", "two")
+def _def_from_spec(spec: dict, side_flag: str | None) -> GFisherDef:
     return GFisherDef(
         degrees=np.asarray(spec["degrees"], dtype=float),
         weights=np.asarray(spec["weights"], dtype=float) if "weights" in spec else None,
-        side=side,
+        side=side_flag or spec.get("side", "two"),
     )
+
+
+def _read_def(path: str, side_flag: str | None) -> GFisherDef:
+    with open(path, encoding="utf-8") as fh:
+        return _def_from_spec(json.load(fh), side_flag)
 
 
 def _read_defs(path: str, side_flag: str | None) -> list[GFisherDef]:
@@ -59,17 +61,7 @@ def _read_defs(path: str, side_flag: str | None) -> list[GFisherDef]:
         entries = json.load(fh)
     if not isinstance(entries, list):
         raise ValueError("omnibus definitions must be a JSON array")
-    out = []
-    for spec in entries:
-        side = side_flag or spec.get("side", "two")
-        out.append(
-            GFisherDef(
-                degrees=np.asarray(spec["degrees"], dtype=float),
-                weights=np.asarray(spec["weights"], dtype=float) if "weights" in spec else None,
-                side=side,
-            )
-        )
-    return out
+    return [_def_from_spec(spec, side_flag) for spec in entries]
 
 
 def _resolve_sigma(args, n_hint: int | None = None) -> CorrMatrix:
@@ -87,12 +79,19 @@ def _resolve_sigma(args, n_hint: int | None = None) -> CorrMatrix:
     raise ValueError("provide a correlation matrix via --sigma or --structure")
 
 
+def _reject_unused_reps(args, what: str) -> None:
+    if args.reps is not None:
+        raise ValueError(f"--reps does not apply to {what}: no moments are simulated")
+
+
 def _resolve_moments(args, gdef, sigma):
     if args.method not in methods._NEEDS_MOMENTS:
         if args.moments is not None:
             raise ValueError(f"--moments does not apply to method {args.method!r}, which takes no moment summary")
+        _reject_unused_reps(args, f"method {args.method!r}")
         return None
     if args.moments == "qform":
+        _reject_unused_reps(args, "--moments qform")
         return qform.hybrid_moments(qform.qform_spec(gdef, sigma, args.kstar))
     config = harness.SimConfig(
         sigma=sigma, nreps=max(args.reps or 100_000, 100), seed=args.seed, side=gdef.side
@@ -163,6 +162,8 @@ def _cmd_omnibus(args) -> int:
     if any(t in methods._NEEDS_MOMENTS for t in tags):  # SimConfig factors sigma: build it only when used
         config = harness.SimConfig(sigma=sigma, nreps=max(args.reps or 100_000, 100), seed=args.seed, side=defs[0].side)
         moment_list = [harness._auto_moments(g, config, t, None, config.nreps) for g, t in zip(defs, tags)]
+    else:
+        _reject_unused_reps(args, f"component methods {sorted(set(tags))}")
     panel = omnibus.build_panel(
         defs, sigma, method=args.method, kstar=args.kstar, moments=moment_list, qf_acc=args.qf_acc
     )

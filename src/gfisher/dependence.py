@@ -24,9 +24,8 @@ from functools import lru_cache
 from math import lgamma
 
 import numpy as np
-from scipy.special import gammainccinv, ndtri
 
-from .kernels import hermite, integrate_gauss_weight
+from .kernels import PROB_CLAMP_LO, _chisq_isf, hermite, integrate_gauss_weight
 from .statistic import GFisherDef, Side, validate_side, z_to_pvalues
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "hermite_coeff",
     "nearest_correlation",
     "transform_product_moment",
-    "truncation_diagnostic",
     "var_T",
 ]
 
@@ -52,19 +50,14 @@ QUAD_TOL = 1e-11
 # ---------------------------------------------------------------------------
 
 
-def _transformed(z: float, d: float, side: str) -> float:
-    # the summand T = F_d^{-1}(1 - P) of one input z
-    u = np.clip(z_to_pvalues(np.asarray(z, dtype=float), side), 1e-300, 1.0)
-    if d == 2.0:
-        return float(-2.0 * np.log(u))
-    if d == 1.0:
-        return float(ndtri(np.clip(0.5 * u, 1e-300, 0.5)) ** 2)
-    return float(2.0 * gammainccinv(d / 2.0, u))
+def _pvalue(z: float, side: str) -> float:
+    # the input p-value of one z, clamped from below as ``statistic.transform`` clamps it
+    return max(float(z_to_pvalues(z, side)), PROB_CLAMP_LO)
 
 
 @lru_cache(maxsize=None)
 def _hermite_coeff_cached(d: float, k: int, side: str, tol: float) -> float:
-    return integrate_gauss_weight(lambda z: _transformed(z, d, side) * float(hermite(k, z)), tol)
+    return integrate_gauss_weight(lambda z: float(_chisq_isf(_pvalue(z, side), d)) * float(hermite(k, z)), tol)
 
 
 def hermite_coeff(d: float, k: int, side: Side, tol: float = QUAD_TOL) -> float:
@@ -86,7 +79,11 @@ def hermite_coeff(d: float, k: int, side: Side, tol: float = QUAD_TOL) -> float:
 
 @lru_cache(maxsize=None)
 def _product_moment_cached(d1: float, d2: float, side: str, tol: float) -> float:
-    return integrate_gauss_weight(lambda z: _transformed(z, d1, side) * _transformed(z, d2, side), tol)
+    def f(z: float) -> float:
+        p = _pvalue(z, side)
+        return float(_chisq_isf(p, d1)) * float(_chisq_isf(p, d2))
+
+    return integrate_gauss_weight(f, tol)
 
 
 def transform_product_moment(d1: float, d2: float, side: Side, tol: float = QUAD_TOL) -> float:
@@ -94,16 +91,12 @@ def transform_product_moment(d1: float, d2: float, side: Side, tol: float = QUAD
 
     This is the sigma = 1 limit of the covariance series (plus the product of
     means); computing it by direct quadrature avoids the slow tail of the
-    series at full correlation.
+    series at full correlation. The exact same-index covariance is this
+    minus d1 * d2.
     """
     validate_side(side)
     a, b = sorted((float(d1), float(d2)))
     return _product_moment_cached(a, b, side, float(tol))
-
-
-def same_index_cov(d1: float, d2: float, side: Side, tol: float = QUAD_TOL) -> float:
-    """Exact Cov(T_i, T_j) when both transforms share one input (sigma = 1)."""
-    return transform_product_moment(d1, d2, side, tol) - float(d1) * float(d2)
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +186,13 @@ def cov_series(defs, sigma, kstar: int = DEFAULT_KSTAR, tol: float = QUAD_TOL, *
     for g, cov in zip(defs, covs):
         if cov is not None:
             np.fill_diagonal(cov, 2.0 * g.degrees)
+    same: dict = {}  # exact same-index covariance, once per distinct degree pair
     for l in range(m if cross else 0):
-        for r in range(l, m):  # exact same-index terms
-            wl, wr, dl, dr = defs[l].weights, defs[r].weights, defs[l].degrees, defs[r].degrees
-            diag = sum(wl[i] * wr[i] * same_index_cov(dl[i], dr[i], side, tol) for i in range(n))
+        for r in range(l, m):
+            pairs = list(zip(defs[l].degrees.tolist(), defs[r].degrees.tolist()))
+            for a, b in set(pairs) - same.keys():
+                same[a, b] = transform_product_moment(a, b, side, tol) - a * b
+            diag = sum(defs[l].weights * defs[r].weights * [same[pair] for pair in pairs])
             omega[l, r] += diag
             if r != l:
                 omega[r, l] += diag
@@ -212,11 +208,6 @@ def cov_matrix(gdef: GFisherDef, sigma, kstar: int = DEFAULT_KSTAR, tol: float =
     what makes the independence case exact downstream).
     """
     return cov_series([gdef], sigma, kstar, tol, full=[True]).covs[0]
-
-
-def truncation_diagnostic(gdef: GFisherDef, sigma, kstar: int = DEFAULT_KSTAR, tol: float = QUAD_TOL) -> float:
-    """Largest off-diagonal magnitude of the last retained series term."""
-    return cov_series([gdef], sigma, kstar, tol, full=[False]).last_terms[0]
 
 
 def var_T(gdef: GFisherDef, sigma, kstar: int = DEFAULT_KSTAR, tol: float = QUAD_TOL) -> float:

@@ -16,8 +16,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import dependence, methods, omnibus
-from .kernels import chisq_inv_sf
-from .statistic import GFisherDef, evaluate_many, z_to_pvalues
+from .kernels import PROB_CLAMP_HI, PROB_CLAMP_LO, chisq_inv_sf
+from .statistic import GFisherDef, evaluate, z_to_pvalues
 from .surrogates import MomentSummary
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "empirical_moments",
     "empirical_tie",
     "inflation_factor",
-    "sample_null",
     "survival_compare",
 ]
 
@@ -115,16 +114,6 @@ def sim_config_from_json(path) -> SimConfig:
     )
 
 
-def sample_null(config: SimConfig, nreps: int | None = None, stream: int = 0):
-    """Yield batches of input z-score vectors under the configured null."""
-    for b, size in config.batches(nreps):
-        yield config.draw(b, size, stream)
-
-
-def _statistics_batch(gdef: GFisherDef, z: np.ndarray, side: str) -> np.ndarray:
-    return evaluate_many(gdef, z_to_pvalues(z, side))
-
-
 # ---------------------------------------------------------------------------
 # Empirical moments
 # ---------------------------------------------------------------------------
@@ -143,7 +132,7 @@ def empirical_moments(gdef: GFisherDef, config: SimConfig, nreps: int | None = N
     sums = np.zeros(4)
     count = 0
     for b, size in config.batches(total):
-        t = _statistics_batch(gdef, config.draw(b, size, stream=1), config.side) - shift
+        t = evaluate(gdef, z_to_pvalues(config.draw(b, size, stream=1), config.side)) - shift
         sums += [t.sum(), (t**2).sum(), (t**3).sum(), (t**4).sum()]
         count += size
     m1 = sums[0] / count
@@ -281,7 +270,7 @@ def empirical_tie(
         null = methods.fit_null(gdef, config.sigma, method, kstar=kstar, moments=mom, qf_acc=qf_acc)
 
         def count_batch(z: np.ndarray) -> tuple[np.ndarray, int]:
-            t = _statistics_batch(gdef, z, config.side)
+            t = evaluate(gdef, z_to_pvalues(z, config.side))
             p = np.asarray(null.survival(t))
             bad = int(np.count_nonzero(~np.isfinite(p)))
             p = p[np.isfinite(p)]
@@ -321,18 +310,10 @@ def _omnibus_counter(panel, method: str, config: SimConfig, alphas: np.ndarray, 
     if panel.side != config.side:
         raise ValueError("panel and simulation config disagree on sidedness")
 
-    def component_matrix(z: np.ndarray) -> np.ndarray:
-        pv = z_to_pvalues(z, config.side)
-        cols = []
-        for g, null in zip(panel.defs, panel.fitted):
-            t = evaluate_many(g, pv)
-            cols.append(np.asarray(null.survival(t)))
-        return np.column_stack(cols)
-
     if method == "cc":
 
         def count_batch(z: np.ndarray) -> tuple[np.ndarray, int]:
-            pj = np.clip(component_matrix(z), 1e-300, 1.0 - 1e-16)
+            pj = np.clip(omnibus.component_pvalues(panel, z), PROB_CLAMP_LO, PROB_CLAMP_HI)
             p = omnibus.cauchy_sf(omnibus.cc_statistic(pj))
             return np.array([np.count_nonzero(p < a) for a in alphas]), 0
 
@@ -346,7 +327,7 @@ def _omnibus_counter(panel, method: str, config: SimConfig, alphas: np.ndarray, 
     )
 
     def count_batch(z: np.ndarray) -> tuple[np.ndarray, int]:
-        minp = component_matrix(z).min(axis=1)
+        minp = omnibus.component_pvalues(panel, z).min(axis=1)
         return np.array([np.count_nonzero(minp < t) for t in thresholds]), 0
 
     return count_batch
@@ -420,19 +401,19 @@ def survival_compare(
     draws = np.empty(config.nreps)
     pos = 0
     for b, size in config.batches():
-        draws[pos : pos + size] = _statistics_batch(gdef, config.draw(b, size), config.side)
+        draws[pos : pos + size] = evaluate(gdef, z_to_pvalues(config.draw(b, size), config.side))
         pos += size
     t_q = np.quantile(draws, q_grid)
     table: dict[str, np.ndarray] = {}
     for name in method_names:
         mom = _auto_moments(gdef, config, name, moments, moments_nreps)
         null = methods.fit_null(gdef, config.sigma, name, kstar=kstar, moments=mom)
-        p = np.clip(np.asarray(null.survival(t_q)), 1e-300, 1.0)
+        p = np.clip(np.asarray(null.survival(t_q)), PROB_CLAMP_LO, 1.0)
         table[name] = -np.log10(p)
     return SurvivalTable(
         quantiles=q_grid,
         statistic_values=t_q,
-        empirical_neglog10=-np.log10(np.clip(1.0 - q_grid, 1e-300, 1.0)),
+        empirical_neglog10=-np.log10(np.clip(1.0 - q_grid, PROB_CLAMP_LO, 1.0)),
         method_neglog10=table,
     )
 
@@ -451,5 +432,5 @@ def inflation_factor(pvalues, p_grid=(0.5, 0.1, 0.01)) -> np.ndarray:
     if np.any((grid <= 0) | (grid > 0.5)):
         raise ValueError("percentiles must lie in (0, 0.5]")
     observed = np.quantile(p, grid)
-    observed = np.clip(observed, 1e-300, 1.0 - 1e-16)
+    observed = np.clip(observed, PROB_CLAMP_LO, PROB_CLAMP_HI)
     return chisq_inv_sf(observed, 1.0) / chisq_inv_sf(grid, 1.0)

@@ -10,31 +10,16 @@ import warnings
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import (
-    gammainc,
-    gammaincc,
-    gammainccinv,
-    gammaincinv,
-    ndtr,
-    ndtri,
-)
+from scipy.special import gammaincc, gammainccinv, ndtri
 
 __all__ = [
     "MAX_HERMITE_ORDER",
     "PROB_CLAMP_LO",
     "PROB_CLAMP_HI",
-    "chisq_cdf",
-    "chisq_inv",
     "chisq_inv_sf",
-    "chisq_sf",
-    "clamp_prob",
-    "gamma_cdf",
-    "gamma_inv",
     "gamma_sf",
     "hermite",
     "integrate_gauss_weight",
-    "norm_cdf",
-    "norm_inv",
     "norm_phi",
 ]
 
@@ -42,8 +27,9 @@ __all__ = [
 # and start to deserve extended precision; refuse rather than degrade.
 MAX_HERMITE_ORDER = 24
 
-# Inverse CDFs receive probabilities clamped into this closed interval so that
-# quantiles stay finite; callers surface clamping in diagnostics.
+# The p -> T transform clamps probabilities from below at PROB_CLAMP_LO so
+# that quantiles stay finite; Cauchy and min-p omnibus inputs are clamped into
+# the closed interval. Callers surface clamping in diagnostics.
 PROB_CLAMP_LO = 1e-300
 PROB_CLAMP_HI = 1.0 - 1e-16
 
@@ -61,55 +47,29 @@ def norm_phi(z):
     return np.exp(-0.5 * z * z) / _SQRT_2PI
 
 
-def norm_cdf(x):
-    """Standard normal CDF, accurate to ~1e-15 absolute; saturates in the tails."""
-    return ndtr(np.asarray(x, dtype=float))
+def _chisq_isf(p, d: float):
+    """Upper-tail chi-square quantile for one d, without input checks.
 
-
-def norm_inv(p):
-    """Standard normal quantile; input clamped to the finite-probability band."""
-    p = np.clip(np.asarray(p, dtype=float), PROB_CLAMP_LO, PROB_CLAMP_HI)
-    return ndtri(p)
-
-
-def _check_df(d) -> None:
-    if np.any(np.asarray(d) <= 0):
-        raise ValueError("degrees of freedom must be > 0")
-
-
-def chisq_cdf(x, d):
-    """CDF of the chi-square distribution with (possibly non-integer) d > 0."""
-    _check_df(d)
-    x = np.asarray(x, dtype=float)
-    return gammainc(np.asarray(d, dtype=float) / 2.0, np.maximum(x, 0.0) / 2.0)
-
-
-def chisq_sf(x, d):
-    """Survival function of chi-square; accurate in the far right tail."""
-    _check_df(d)
-    x = np.asarray(x, dtype=float)
-    return gammaincc(np.asarray(d, dtype=float) / 2.0, np.maximum(x, 0.0) / 2.0)
-
-
-def chisq_inv(p, d):
-    """Chi-square quantile. Requires p in (0, 1) and d > 0."""
-    _check_df(d)
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("probability must lie in the open interval (0, 1)")
-    return 2.0 * gammaincinv(np.asarray(d, dtype=float) / 2.0, p)
-
-
-def chisq_inv_sf(p, d):
-    """Upper-tail chi-square quantile, i.e. x with P(X > x) = p.
-
-    Numerically preferable to ``chisq_inv(1 - p, d)`` when p is tiny.
+    This is the package's one summand map T = F_d^{-1}(1 - P): the statistic,
+    the covariance-series integrands and the null simulation all call it.
+    d = 1 and d = 2 use the closed forms (Phi^{-1}(p/2))^2 and -2 log p, other
+    d the regularized incomplete-gamma inverse. p = 1 maps to 0.
     """
-    _check_df(d)
+    if d == 1.0:
+        return ndtri(0.5 * p) ** 2
+    if d == 2.0:
+        return -2.0 * np.log(p) + 0.0  # + 0.0: T = 0, not -0, at p = 1
+    return 2.0 * gammainccinv(d / 2.0, p)
+
+
+def chisq_inv_sf(p, d: float):
+    """Upper-tail chi-square quantile, i.e. x with P(X > x) = p; tail-accurate for tiny p."""
+    if d <= 0:
+        raise ValueError("degrees of freedom must be > 0")
     p = np.asarray(p, dtype=float)
     if np.any(p <= 0.0) or np.any(p > 1.0):
         raise ValueError("probability must lie in (0, 1]")
-    return 2.0 * gammainccinv(np.asarray(d, dtype=float) / 2.0, p)
+    return _chisq_isf(p, float(d))
 
 
 def _check_gamma_params(shape, scale) -> None:
@@ -117,38 +77,11 @@ def _check_gamma_params(shape, scale) -> None:
         raise ValueError("gamma shape and scale must be > 0")
 
 
-def gamma_cdf(x, shape, scale=1.0):
-    """CDF of the gamma distribution with given shape and scale."""
-    _check_gamma_params(shape, scale)
-    x = np.asarray(x, dtype=float)
-    return gammainc(shape, np.maximum(x, 0.0) / scale)
-
-
 def gamma_sf(x, shape, scale=1.0):
     """Survival function of the gamma distribution; tail-accurate."""
     _check_gamma_params(shape, scale)
     x = np.asarray(x, dtype=float)
     return gammaincc(shape, np.maximum(x, 0.0) / scale)
-
-
-def gamma_inv(p, shape, scale=1.0):
-    """Gamma quantile for p in (0, 1)."""
-    _check_gamma_params(shape, scale)
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("probability must lie in the open interval (0, 1)")
-    return scale * gammaincinv(shape, p)
-
-
-def clamp_prob(p):
-    """Clamp probabilities into [PROB_CLAMP_LO, PROB_CLAMP_HI].
-
-    Returns ``(clamped, n_clamped)`` so callers can flag the event.
-    """
-    p = np.asarray(p, dtype=float)
-    clamped = np.clip(p, PROB_CLAMP_LO, PROB_CLAMP_HI)
-    n_clamped = int(np.count_nonzero(clamped != p))
-    return clamped, n_clamped
 
 
 def hermite(k: int, z):

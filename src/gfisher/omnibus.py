@@ -17,7 +17,8 @@ from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
 from . import dependence, methods
-from .statistic import GFisherDef, InputPanel, PValueResult, evaluate, to_pvalues
+from .kernels import PROB_CLAMP_HI, PROB_CLAMP_LO
+from .statistic import GFisherDef, InputPanel, PValueResult, evaluate, to_pvalues, z_to_pvalues
 from .surrogates import MomentSummary
 
 __all__ = [
@@ -27,7 +28,6 @@ __all__ = [
     "mvn_rect_prob",
     "omnibus_pvalues",
     "pvalue_cc",
-    "pvalue_minp",
 ]
 
 MINP_DEFAULT_TOL = 1e-4
@@ -108,14 +108,18 @@ def build_panel(
 
 
 def component_pvalues(panel: OmnibusPanel, values, kind: str = "z") -> np.ndarray:
-    """P(j) for each component statistic on one input panel."""
-    inp = values if isinstance(values, InputPanel) else InputPanel(values, kind=kind)
-    pvals = to_pvalues(inp, panel.side)
-    out = np.empty(panel.m)
-    for j, (g, null) in enumerate(zip(panel.defs, panel.fitted)):
-        t = evaluate(g, pvals)
-        out[j] = null.survival(np.asarray([t]))[0]
-    return out
+    """P(j) for each component statistic: shape (m,) for one input panel, (reps, m)
+    for a batch of panels given as a (reps, n) array of z-scores or p-values."""
+    if isinstance(values, InputPanel) or np.ndim(values) < 2:
+        inp = values if isinstance(values, InputPanel) else InputPanel(values, kind=kind)
+        pvals = to_pvalues(inp, panel.side)
+    else:
+        v = np.asarray(values, dtype=float)
+        pvals = z_to_pvalues(v, panel.side) if kind == "z" else v
+    out = np.column_stack(
+        [np.asarray(null.survival(np.atleast_1d(evaluate(g, pvals)))) for g, null in zip(panel.defs, panel.fitted)]
+    )
+    return out[0] if pvals.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +150,7 @@ def pvalue_cc(component_pvals) -> PValueResult:
     """
     pj = np.atleast_1d(np.asarray(component_pvals, dtype=float))
     clamped = int(np.count_nonzero((pj <= 0.0) | (pj >= 1.0)))
-    pj = np.clip(pj, 1e-300, 1.0 - 1e-16)
+    pj = np.clip(pj, PROB_CLAMP_LO, PROB_CLAMP_HI)
     stat = float(cc_statistic(pj))
     diag = {"component_pvalues": pj.tolist(), "clamped_components": clamped}
     return PValueResult(float(cauchy_sf(stat)), stat, "omnibus_cc", diagnostics=diag)
@@ -218,24 +222,6 @@ def mvn_rect_prob(
         n_per *= 2
 
 
-def pvalue_minp(
-    panel: OmnibusPanel,
-    values,
-    kind: str = "z",
-    *,
-    abs_tol: float = MINP_DEFAULT_TOL,
-    seed: int = 0,
-) -> PValueResult:
-    """Minimum-p omnibus p-value via the joint normal approximation.
-
-    With minp_o the smallest component p-value, the omnibus p-value is
-    1 - P(all standardized components <= upper-tail quantile of minp_o) under
-    the component correlation matrix.
-    """
-    pj = component_pvalues(panel, values, kind)
-    return minp_from_components(panel, pj, abs_tol=abs_tol, seed=seed)
-
-
 def minp_from_components(
     panel: OmnibusPanel,
     component_pvals,
@@ -248,7 +234,7 @@ def minp_from_components(
     diag: dict = {"component_pvalues": pj.tolist()}
     if panel.m == 1:
         return PValueResult(minp_o, minp_o, "omnibus_minp", diagnostics=diag)
-    minp_c = min(max(minp_o, 1e-300), 1.0 - 1e-16)
+    minp_c = min(max(minp_o, PROB_CLAMP_LO), PROB_CLAMP_HI)
     upper = np.full(panel.m, -ndtri(minp_c))  # upper-tail quantile of minp_o
     rect, err = mvn_rect_prob(upper, panel.corr, abs_tol=abs_tol, seed=seed)
     diag.update({"rect_prob": rect, "rect_error": err, "m": panel.m})

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
-from scipy.special import gammainccinv, ndtr, ndtri
+from scipy.special import ndtr
 
 from . import kernels
 
@@ -165,42 +165,30 @@ def z_to_pvalues(z, side: Side) -> np.ndarray:
 
 
 def transform(gdef: GFisherDef, pvalues) -> np.ndarray:
-    """Transformed summands T_i = F_{d_i}^{-1}(1 - P_i).
+    """Transformed summands T_i = F_{d_i}^{-1}(1 - P_i) of a panel (n,) or a batch (reps, n).
 
-    Strictly decreasing in each P_i and always >= 0. P_i = 0 is clamped per
-    the kernel probability policy. d = 1 and d = 2 use the closed forms
-    (Phi^{-1}(p/2))^2 and -2 log p; other d go through the regularized
-    incomplete-gamma inverse.
+    Strictly decreasing in each P_i and always >= 0, with T_i = 0 at P_i = 1.
+    P_i below ``kernels.PROB_CLAMP_LO`` (0 included) is clamped up to it.
     """
     p = np.atleast_1d(np.asarray(pvalues, dtype=float))
     if p.shape[-1] != gdef.n:
         raise ValueError(f"expected {gdef.n} p-values, got {p.shape[-1]}")
     if np.any(p < 0) or np.any(p > 1):
         raise ValueError("p-values must lie in [0, 1] (0 is clamped)")
-    p, _ = kernels.clamp_prob(p)
-    d = gdef.degrees
+    p = np.maximum(p, kernels.PROB_CLAMP_LO)
     out = np.empty_like(p)
-    one = d == 1.0
-    two = d == 2.0
-    rest = ~(one | two)
-    if np.any(one):
-        out[..., one] = ndtri(0.5 * p[..., one]) ** 2
-    if np.any(two):
-        out[..., two] = -2.0 * np.log(p[..., two])
-    if np.any(rest):
-        out[..., rest] = 2.0 * gammainccinv(d[rest] / 2.0, p[..., rest])
+    for d in np.unique(gdef.degrees):
+        cols = gdef.degrees == d
+        out[..., cols] = kernels._chisq_isf(p[..., cols], float(d))
     return out
 
 
-def evaluate(gdef: GFisherDef, pvalues) -> float:
-    """The statistic value T = sum_i w_i T_i for a single panel of p-values."""
+def evaluate(gdef: GFisherDef, pvalues):
+    """The statistic T = sum_i w_i T_i: a float for one panel (n,), an array
+    of one value per row for a batch (reps, n)."""
     t = transform(gdef, pvalues)
-    if t.ndim != 1:
-        raise ValueError("evaluate expects a single 1-D panel")
-    return float(np.dot(gdef.weights, t))
-
-
-def evaluate_many(gdef: GFisherDef, pvalues: np.ndarray) -> np.ndarray:
-    """Vectorized ``evaluate`` over rows of a (reps, n) p-value matrix."""
-    t = transform(gdef, pvalues)
+    if t.ndim == 1:
+        return float(np.dot(gdef.weights, t))
+    if t.ndim != 2:
+        raise ValueError("evaluate expects a panel (n,) or a batch (reps, n)")
     return t @ gdef.weights

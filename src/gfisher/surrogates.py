@@ -25,7 +25,6 @@ __all__ = [
     "fit_gb",
     "fit_ggd",
     "fit_mr",
-    "ggd_cdf",
     "ggd_moment",
     "ggd_sf",
 ]
@@ -155,14 +154,6 @@ class GGDSurrogate:
 def ggd_moment(k: int, shape: float, scale: float, power: float) -> float:
     """Raw moment E X^k = theta^k Gamma((a+k)/p) / Gamma(a/p)."""
     return scale**k * np.exp(gammaln((shape + k) / power) - gammaln(shape / power))
-
-
-def ggd_cdf(x, shape: float, scale: float, power: float, loc: float = 0.0):
-    """CDF via the incomplete-gamma composition: ((x - c)/theta)^p ~ Gamma(a/p)."""
-    from scipy.special import gammainc
-
-    y = np.maximum(np.asarray(x, dtype=float) - loc, 0.0)
-    return gammainc(shape / power, (y / scale) ** power)
 
 
 def ggd_sf(x, shape: float, scale: float, power: float, loc: float = 0.0):

@@ -110,6 +110,27 @@ class TestPvalueCommand:
         assert "--moments" in payload["error"]["message"]
         load_schema_validator("error.schema.json").validate(payload)
 
+    @pytest.mark.parametrize(
+        "extra", [["--method", "gb"], ["--method", "q"], ["--method", "hyb"], ["--method", "mr", "--moments", "qform"]]
+    )
+    def test_reps_rejected_where_no_moments_are_simulated(self, workdir, capsys, extra):
+        code = main(
+            [
+                "pvalue",
+                "--stat", str(workdir / "stat.json"),
+                "--sigma", str(workdir / "sigma.csv"),
+                "--input", str(workdir / "p.csv"),
+                "--kind", "p",
+                "--reps", "5",
+            ]
+            + extra
+        )
+        assert code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["type"] == "invalid_input"
+        assert "--reps" in payload["error"]["message"]
+        load_schema_validator("error.schema.json").validate(payload)
+
     def test_q_one_sided_exits_2(self, workdir, capsys):
         stat = workdir / "one.json"
         stat.write_text(json.dumps({"degrees": [2, 2, 2], "side": "one"}))
@@ -240,6 +261,18 @@ class TestOmnibusCommand:
         np.testing.assert_array_equal(payload["component_pvalues"], ref["component_pvalues"])
         assert payload["minp"]["pvalue"] == ref["minp"].pvalue
         assert payload["cc"]["pvalue"] == ref["cc"].pvalue
+
+    @pytest.mark.parametrize("method", [None, "gb"])
+    def test_reps_rejected_without_moment_components(self, workdir, capsys, method):
+        defs = self._defs(workdir, [{"degrees": [2, 2, 2]}, {"degrees": [1, 1, 1]}])
+        zin = workdir / "z.csv"
+        np.savetxt(zin, [[1.0, -0.5, 2.0]], delimiter=",")
+        args = ["omnibus", "--defs", str(defs), "--sigma", str(workdir / "sigma.csv"), "--input", str(zin)]
+        args += ["--reps", "5"] + (["--method", method] if method else [])
+        assert main(args) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["type"] == "invalid_input"
+        assert "--reps" in payload["error"]["message"]
 
     def test_malformed_defs_exits_2(self, workdir, capsys):
         bad = workdir / "bad.json"

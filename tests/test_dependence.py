@@ -15,7 +15,6 @@ from gfisher.dependence import (
     gen_structure,
     hermite_coeff,
     nearest_correlation,
-    same_index_cov,
     transform_product_moment,
     var_T,
 )
@@ -207,7 +206,7 @@ class TestCrossCov:
         # J(d, d) - d^2 = Var(chi2_d) exactly
         for side in ("one", "two"):
             for d in (1.0, 2.0, 3.0):
-                assert same_index_cov(d, d, side) == pytest.approx(2.0 * d, abs=1e-7)
+                assert transform_product_moment(d, d, side) - d * d == pytest.approx(2.0 * d, abs=1e-7)
 
 
 class TestGenStructure:

@@ -9,14 +9,17 @@ from gfisher.harness import (
     empirical_moments,
     empirical_tie,
     inflation_factor,
-    sample_null,
     survival_compare,
 )
-from gfisher.statistic import GFisherDef
+from gfisher.statistic import GFisherDef, evaluate, z_to_pvalues
+
+
+def null_batches(config, nreps=None, stream=0):
+    return [config.draw(b, size, stream) for b, size in config.batches(nreps)]
 
 
 def collect(config, nreps=None, stream=0):
-    return np.vstack(list(sample_null(config, nreps, stream)))
+    return np.vstack(null_batches(config, nreps, stream))
 
 
 class TestSampler:
@@ -122,7 +125,7 @@ class TestEmpiricalMoments:
         sigma = dependence.gen_structure("equal", "III", 4, 0.5)
         config = SimConfig(sigma=sigma, nreps=200_000, seed=7, batch_size=30_000)
         m = empirical_moments(g, config)
-        t = np.concatenate([_stats(g, zb) for zb in sample_null(config, stream=1)])
+        t = np.concatenate([_stats(g, zb) for zb in null_batches(config, stream=1)])
         assert m.mu == pytest.approx(t.mean(), rel=1e-10)
         assert m.var == pytest.approx(t.var(), rel=1e-8)
         sk = np.mean((t - t.mean()) ** 3) / t.var() ** 1.5
@@ -130,9 +133,7 @@ class TestEmpiricalMoments:
 
 
 def _stats(g, z):
-    from gfisher.harness import _statistics_batch
-
-    return _statistics_batch(g, z, g.side)
+    return evaluate(g, z_to_pvalues(z, g.side))
 
 
 class TestEmpiricalTie:

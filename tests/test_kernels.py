@@ -2,91 +2,94 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
+from scipy.stats import chi2
 
 from gfisher import kernels
+from gfisher.statistic import GFisherDef, transform
 
 
 class TestNormCdf:
+    """The normal CDF is scipy's ``ndtr``; these pin the behavior the package relies on."""
+
     def test_symmetry_at_zero(self):
-        assert kernels.norm_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
+        assert ndtr(0.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_saturates_in_far_tail(self):
-        assert kernels.norm_cdf(40.0) == pytest.approx(1.0, abs=1e-15)
-        assert kernels.norm_cdf(-40.0) == pytest.approx(0.0, abs=1e-15)
+        assert ndtr(40.0) == pytest.approx(1.0, abs=1e-15)
+        assert ndtr(-40.0) == pytest.approx(0.0, abs=1e-15)
 
     def test_standard_quantile(self):
         # 0.975 quantile of the standard normal, frozen from norm.ppf
-        assert kernels.norm_cdf(1.959964) == pytest.approx(0.975, abs=1e-6)
+        assert ndtr(1.959964) == pytest.approx(0.975, abs=1e-6)
 
     def test_vectorized(self):
         x = np.array([-1.0, 0.0, 1.0])
-        out = kernels.norm_cdf(x)
+        out = ndtr(x)
         assert out.shape == (3,)
         assert np.all(np.diff(out) > 0)
 
 
 class TestChiSquare:
     def test_cdf_at_zero(self):
+        # chi2_d is gamma(d/2, scale 2)
         for d in (0.5, 1.0, 2.0, 7.3):
-            assert kernels.chisq_cdf(0.0, d) == 0.0
+            assert 1.0 - kernels.gamma_sf(0.0, d / 2.0, 2.0) == 0.0
 
     def test_quantile_chi2_1(self):
         # frozen from chi2.ppf(0.95, 1)
-        assert kernels.chisq_inv(0.95, 1.0) == pytest.approx(3.841459, abs=1e-5)
+        assert kernels.chisq_inv_sf(0.05, 1.0) == pytest.approx(3.841459, abs=1e-5)
 
     def test_exponential_identity(self):
         # F2^{-1}(1 - p) = -2 log p, checked at p = 0.01
-        assert kernels.chisq_inv(0.99, 2.0) == pytest.approx(-2.0 * np.log(0.01), rel=1e-12)
+        assert kernels.chisq_inv_sf(0.01, 2.0) == pytest.approx(-2.0 * np.log(0.01), rel=1e-12)
         assert kernels.chisq_inv_sf(0.01, 2.0) == pytest.approx(9.210340371976182, rel=1e-12)
 
     @pytest.mark.parametrize("d", [1.0, 2.0, 3.0, 10.0])
     def test_round_trip(self, d):
         x = np.array([0.01, 0.1, 1.0, 3.0, 10.0, 30.0, 100.0])
-        p = kernels.chisq_cdf(x, d)
+        p = chi2.cdf(x, d)
         keep = (p > 1e-12) & (p < 1.0 - 1e-12)
-        back = kernels.chisq_inv(p[keep], d)
+        back = chi2.ppf(p[keep], d)
         np.testing.assert_allclose(back, x[keep], rtol=1e-9)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            kernels.chisq_inv(0.0, 2.0)
+            kernels.chisq_inv_sf(0.0, 2.0)
         with pytest.raises(ValueError):
-            kernels.chisq_inv(1.0, 2.0)
+            kernels.chisq_inv_sf(1.5, 2.0)
         with pytest.raises(ValueError):
-            kernels.chisq_inv(0.5, -1.0)
+            kernels.chisq_inv_sf(0.5, -1.0)
         with pytest.raises(ValueError):
-            kernels.chisq_cdf(1.0, 0.0)
+            kernels.chisq_inv_sf(0.5, 0.0)
 
 
 class TestGamma:
     def test_chi_square_consistency(self):
         # gamma(d/2, scale 2) is chi-square with d degrees of freedom
         x, d = 3.0, 4.0
-        assert kernels.gamma_cdf(x, d / 2.0, 2.0) == pytest.approx(
-            float(kernels.chisq_cdf(x, d)), rel=1e-14
-        )
+        assert kernels.gamma_sf(x, d / 2.0, 2.0) == pytest.approx(float(chi2.sf(x, d)), rel=1e-14)
 
     def test_consistency_on_grid(self):
         for x in (0.01, 0.5, 2.0, 15.0):
             for d in (1.0, 2.0, 3.0, 10.0):
-                assert kernels.gamma_cdf(x, d / 2.0, 2.0) == pytest.approx(
-                    float(kernels.chisq_cdf(x, d)), rel=1e-13
-                )
+                assert kernels.gamma_sf(x, d / 2.0, 2.0) == pytest.approx(float(chi2.sf(x, d)), rel=1e-13)
 
     def test_cdf_at_zero(self):
-        assert kernels.gamma_cdf(0.0, 2.5, 1.3) == 0.0
+        assert 1.0 - kernels.gamma_sf(0.0, 2.5, 1.3) == 0.0
 
     def test_far_tail_saturation(self):
-        # x = 100 * mean with shape 2, scale 1; tail bound from the
-        # complementary incomplete gamma is ~ 1e-83, far below 1e-12
+        # x = 100 * mean with shape 2, scale 1; the complementary incomplete
+        # gamma is ~ 1e-83 there (exactly 201 e^-200), far below 1e-12
         a, theta = 2.0, 1.0
-        assert kernels.gamma_cdf(100.0 * a * theta, a, theta) == pytest.approx(1.0, abs=1e-12)
+        assert 1.0 - kernels.gamma_sf(100.0 * a * theta, a, theta) == pytest.approx(1.0, abs=1e-12)
+        assert kernels.gamma_sf(100.0 * a * theta, a, theta) == pytest.approx(201.0 * np.exp(-200.0), rel=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            kernels.gamma_cdf(1.0, -1.0, 1.0)
+            kernels.gamma_sf(1.0, -1.0, 1.0)
         with pytest.raises(ValueError):
-            kernels.gamma_cdf(1.0, 1.0, 0.0)
+            kernels.gamma_sf(1.0, 1.0, 0.0)
 
 
 class TestHermite:
@@ -145,13 +148,16 @@ class TestQuadrature:
 
 
 class TestClamp:
+    """The transform clamps p from below only: p = 0 prices as PROB_CLAMP_LO, p = 1 gives T = 0."""
+
     def test_clamp_counts(self):
-        p, n = kernels.clamp_prob(np.array([0.0, 0.5, 1.0]))
-        assert n == 2
-        assert p[0] == kernels.PROB_CLAMP_LO
-        assert p[2] == kernels.PROB_CLAMP_HI
+        g = GFisherDef(degrees=[1.0, 2.0, 3.5])
+        t = transform(g, [0.0, 0.5, 1.0])
+        ref = transform(g, [kernels.PROB_CLAMP_LO, 0.5, 0.5])
+        assert np.isfinite(t[0]) and t[0] == ref[0]
+        assert t[1] == ref[1]
+        assert t[2] == 0.0
 
     def test_no_clamp(self):
-        p, n = kernels.clamp_prob(np.array([0.2, 0.8]))
-        assert n == 0
-        np.testing.assert_array_equal(p, [0.2, 0.8])
+        g = GFisherDef(degrees=[2.0, 2.0])
+        np.testing.assert_array_equal(transform(g, [0.2, 0.8]), -2.0 * np.log([0.2, 0.8]))

@@ -93,8 +93,8 @@ class TestCauchyVectorized:
         p = np.array(
             [
                 omnibus.pvalue_cc(omnibus.component_pvalues(panel, z)).pvalue
-                for batch in harness.sample_null(config)
-                for z in batch
+                for b, size in config.batches()
+                for z in config.draw(b, size)
             ]
         )
         assert list(report.counts) == [int(np.count_nonzero(p < a)) for a in alphas]

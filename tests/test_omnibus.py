@@ -12,7 +12,6 @@ from gfisher.omnibus import (
     mvn_rect_prob,
     omnibus_pvalues,
     pvalue_cc,
-    pvalue_minp,
 )
 from gfisher.statistic import GFisherDef
 
@@ -172,7 +171,7 @@ class TestPanel:
         # the ordering of component p-values for one observed panel matches
         # the ordering of empirical exceedance ranks from null simulation
         from gfisher import harness
-        from gfisher.statistic import evaluate_many, to_pvalues, InputPanel
+        from gfisher.statistic import evaluate, to_pvalues, InputPanel
 
         n = 10
         defs = [GFisherDef(degrees=[float(d)] * n, side="two") for d in (1, 2, 3)]
@@ -186,20 +185,31 @@ class TestPanel:
         p_obs = to_pvalues(InputPanel(z_obs), "two")
         ranks = np.empty(3)
         for j, g in enumerate(defs):
-            t_obs = float(evaluate_many(g, p_obs[None, :])[0])
+            t_obs = float(evaluate(g, p_obs[None, :])[0])
             exceed = 0
-            for zb in harness.sample_null(config):
-                pv = 2.0 * _ndtr(-np.abs(zb))
-                exceed += int(np.count_nonzero(evaluate_many(g, pv) > t_obs))
+            for b, size in config.batches():
+                pv = 2.0 * _ndtr(-np.abs(config.draw(b, size)))
+                exceed += int(np.count_nonzero(evaluate(g, pv) > t_obs))
             ranks[j] = exceed / config.nreps
         assert np.array_equal(np.argsort(pj), np.argsort(ranks))
 
     def test_minp_pipeline(self, small_panel):
         rng = np.random.default_rng(1)
         z = rng.standard_normal(4)
-        res = pvalue_minp(small_panel, z, seed=2)
+        res = omnibus_pvalues(small_panel, z, seed=2)["minp"]
         assert 0.0 <= res.pvalue <= 1.0
         assert "rect_error" in res.diagnostics
+
+    @pytest.mark.parametrize("kind", ["z", "p"])
+    def test_batch_matches_single_panels(self, small_panel, kind):
+        rng = np.random.default_rng(8)
+        rows = rng.standard_normal((25, 4)) * 2.0 if kind == "z" else rng.uniform(1e-9, 1.0, (25, 4))
+        batch = component_pvalues(small_panel, rows, kind)
+        assert batch.shape == (25, small_panel.m)
+        # a batch sums w_i T_i with a matrix-vector product, one panel with a
+        # dot product; the two BLAS kernels may differ in the last bit of T
+        single = np.array([component_pvalues(small_panel, row, kind) for row in rows])
+        np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0.0)
 
     def test_mixed_sidedness_rejected(self):
         a = GFisherDef.fisher(4, side="two")

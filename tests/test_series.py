@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gfisher import dependence, methods, omnibus, qform
-from gfisher.dependence import cov_matrix, cov_summands, cross_cov, gen_structure, truncation_diagnostic, var_T
+from gfisher.dependence import cov_matrix, cov_series, cov_summands, cross_cov, gen_structure, var_T
 from gfisher.statistic import GFisherDef
 from gfisher.kernels import gamma_sf
 from gfisher.surrogates import MomentSummary, fit_gb
@@ -28,10 +28,15 @@ def case(request):
     return CASES[request.param]
 
 
+def _last_term(g, sigma, kstar=dependence.DEFAULT_KSTAR):
+    # a pass that asks for no matrix visits only the order k = kstar
+    return cov_series([g], sigma, kstar, full=[False]).last_terms[0]
+
+
 def _pieces(g, sigma):
     cov = cov_matrix(g, sigma)
     spec = qform.eigen_spec(g, qform.build_m(g, sigma, cov))
-    return spec, var_T(g, sigma), truncation_diagnostic(g, sigma)
+    return spec, var_T(g, sigma), _last_term(g, sigma)
 
 
 class TestComputePvalueMatchesPieces:
@@ -103,8 +108,8 @@ class TestOddOrdersSkipped:
 
     def test_two_sided_odd_kstar_last_term_is_zero(self):
         sigma = gen_structure("equal", "III", 4, 0.5)
-        assert truncation_diagnostic(GFisherDef.fisher(4), sigma, kstar=7) == 0.0
-        assert truncation_diagnostic(GFisherDef(degrees=[2] * 4, side="one"), sigma, kstar=7) > 0.0
+        assert _last_term(GFisherDef.fisher(4), sigma, kstar=7) == 0.0
+        assert _last_term(GFisherDef(degrees=[2] * 4, side="one"), sigma, kstar=7) > 0.0
 
 
 class TestOnePassPerFit:

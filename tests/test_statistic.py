@@ -7,7 +7,6 @@ from gfisher.statistic import (
     GFisherDef,
     InputPanel,
     evaluate,
-    evaluate_many,
     to_pvalues,
     transform,
 )
@@ -100,6 +99,12 @@ class TestTransform:
         t = transform(g, [0.0])
         assert np.isfinite(t[0]) and t[0] > 1000.0
 
+    @pytest.mark.parametrize("d", [1.0, 2.0, 3.0, 3.5, 8.0])
+    def test_unit_pvalue_gives_zero(self, d):
+        t = transform(GFisherDef(degrees=[d, d]), [1.0, 1.0])
+        assert t[0] == 0.0 and t[1] == 0.0
+        assert not np.any(np.signbit(t))
+
     def test_strictly_decreasing(self):
         g = GFisherDef(degrees=[1.0, 2.0, 3.5])
         grid = np.linspace(1e-6, 1.0, 200)
@@ -161,9 +166,16 @@ class TestEvaluate:
             evaluate(g, [0.5])
 
     def test_evaluate_many_matches_scalar(self):
+        # a (reps, n) batch evaluates row by row
         rng = np.random.default_rng(5)
         g = GFisherDef(degrees=[1, 2, 4], weights=[2, 1, 1])
         p = rng.uniform(0.01, 1.0, size=(50, 3))
-        vec = evaluate_many(g, p)
+        vec = evaluate(g, p)
         ref = np.array([evaluate(g, row) for row in p])
+        assert vec.shape == (50,)
         np.testing.assert_allclose(vec, ref, rtol=1e-12)
+
+    def test_rejects_higher_rank(self):
+        g = GFisherDef(degrees=[2.0, 2.0])
+        with pytest.raises(ValueError):
+            evaluate(g, np.full((2, 3, 2), 0.5))
