@@ -4,7 +4,8 @@ The covariance of two summands T_i, T_j expands as a series in the input
 correlation: Cov(T_i, T_j) = sum_k sigma^k / k! * I_i(k) I_j(k), where I(k)
 is a Hermite-coefficient integral of the inverse-chi-square transform. Only
 n* x k* one-dimensional integrals are needed for an n x n covariance matrix,
-where n* is the number of distinct degrees of freedom.
+where n* is the number of distinct degrees of freedom, and all orders of one d
+come from one evaluation of its transform on a fixed quadrature grid.
 
 One pass (``cov_series``) serves every definition sharing a sigma: each order
 raises sigma to the k-th power once for the covariance matrices, the
@@ -18,6 +19,7 @@ nearest-correlation repair (alternating projections).
 
 from __future__ import annotations
 
+import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,7 +27,7 @@ from math import lgamma
 
 import numpy as np
 
-from .kernels import PROB_CLAMP_LO, _chisq_isf, hermite, integrate_gauss_weight
+from .kernels import GAUSS_HALVING, GAUSS_NODES, GAUSS_WEIGHTS, MAX_HERMITE_ORDER, PROB_CLAMP_LO, _chisq_isf, hermite
 from .statistic import GFisherDef, Side, validate_side, z_to_pvalues
 
 __all__ = [
@@ -49,18 +51,47 @@ QUAD_TOL = 1e-11
 # Hermite-coefficient integrals
 # ---------------------------------------------------------------------------
 
+# He_1..He_K on the half-line nodes times the rule's weights (rows 0..K-1) and
+# its halving weights (rows K..2K-1); He_k(-z) = (-1)^k He_k(z) on the mirrored half
+_K = MAX_HERMITE_ORDER
+_HE_BASIS = np.array([hermite(k, GAUSS_NODES) for k in range(1, _K + 1)])
+_HE_BASIS = np.concatenate([_HE_BASIS * GAUSS_WEIGHTS, _HE_BASIS * GAUSS_HALVING])
+_MIRROR = np.tile((-1.0) ** np.arange(1, _K + 1), 2)
 
-def _pvalue(z: float, side: str) -> float:
-    # the input p-value of one z, clamped from below as ``statistic.transform`` clamps it
-    return max(float(z_to_pvalues(z, side)), PROB_CLAMP_LO)
+# T_d at the nodes z and -z, and I(1..K) with their halving error estimates
+_Grid = namedtuple("_Grid", ["pos", "neg", "coeffs", "err"])
 
 
 @lru_cache(maxsize=None)
-def _hermite_coeff_cached(d: float, k: int, side: str, tol: float) -> float:
-    return integrate_gauss_weight(lambda z: float(_chisq_isf(_pvalue(z, side), d)) * float(hermite(k, z)), tol)
+def _grid(d: float, side: str) -> _Grid:
+    """T_d on the quadrature nodes and every Hermite coefficient, once per (d, side).
+
+    p is clamped from below as ``statistic.transform`` clamps it. For
+    two-sided input T is even in z, so both halves are the same array and the
+    odd orders cancel to exact zeros.
+    """
+    pos = _chisq_isf(np.maximum(z_to_pvalues(GAUSS_NODES, side), PROB_CLAMP_LO), d)
+    neg = pos if side == "two" else _chisq_isf(np.maximum(z_to_pvalues(-GAUSS_NODES, side), PROB_CLAMP_LO), d)
+    v = _HE_BASIS @ pos + _MIRROR * (_HE_BASIS @ neg)
+    return _Grid(pos, neg, v[:_K], np.abs(v[_K:]))
 
 
-def hermite_coeff(d: float, k: int, side: Side, tol: float = QUAD_TOL) -> float:
+def _certify(err: float, what: str) -> None:
+    if err > QUAD_TOL:
+        msg = f"gauss-weight quadrature of {what} reached halving estimate {err:.3e} > tol {QUAD_TOL:.1e}"
+        warnings.warn(msg, RuntimeWarning, stacklevel=3)
+
+
+def _coeffs(d: float, side: str, lo: int, hi: int) -> np.ndarray:
+    # I(lo..hi) from the cached grid, warning where an order is not certified
+    if hi > _K:
+        raise ValueError(f"Hermite order {hi} exceeds the supported maximum {_K}")
+    g = _grid(float(d), side)
+    _certify(g.err[lo - 1 : hi].max(initial=0.0), f"I({lo}..{hi}) at d = {d:g}, side {side!r}")
+    return g.coeffs[lo - 1 : hi]
+
+
+def hermite_coeff(d: float, k: int, side: Side) -> float:
     """The k-th Hermite coefficient I(k) of the transform for one d.
 
     For two-sided inputs the transform is an even function of z, so odd-order
@@ -69,24 +100,12 @@ def hermite_coeff(d: float, k: int, side: Side, tol: float = QUAD_TOL) -> float:
     validate_side(side)
     if k < 1:
         raise ValueError("order k must be >= 1")
-    d = float(d)
     if d <= 0:
         raise ValueError("degrees of freedom must be > 0")
-    if side == "two" and k % 2 == 1:
-        return 0.0
-    return _hermite_coeff_cached(d, int(k), side, float(tol))
+    return float(_coeffs(d, side, int(k), int(k))[0])
 
 
-@lru_cache(maxsize=None)
-def _product_moment_cached(d1: float, d2: float, side: str, tol: float) -> float:
-    def f(z: float) -> float:
-        p = _pvalue(z, side)
-        return float(_chisq_isf(p, d1)) * float(_chisq_isf(p, d2))
-
-    return integrate_gauss_weight(f, tol)
-
-
-def transform_product_moment(d1: float, d2: float, side: Side, tol: float = QUAD_TOL) -> float:
+def transform_product_moment(d1: float, d2: float, side: Side) -> float:
     """E[T_i T_j] for two transforms of the same standard normal input.
 
     This is the sigma = 1 limit of the covariance series (plus the product of
@@ -95,8 +114,10 @@ def transform_product_moment(d1: float, d2: float, side: Side, tol: float = QUAD
     minus d1 * d2.
     """
     validate_side(side)
-    a, b = sorted((float(d1), float(d2)))
-    return _product_moment_cached(a, b, side, float(tol))
+    a, b = _grid(float(d1), side), _grid(float(d2), side)
+    f = a.pos * b.pos + a.neg * b.neg
+    _certify(abs(GAUSS_HALVING @ f), f"E[T T] at d = {d1:g}, {d2:g}, side {side!r}")
+    return float(GAUSS_WEIGHTS @ f)
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +125,10 @@ def transform_product_moment(d1: float, d2: float, side: Side, tol: float = QUAD
 # ---------------------------------------------------------------------------
 
 
-def _coeff_table(defs, side: Side, kstar: int, tol: float) -> list[np.ndarray]:
+def _coeff_table(defs, side: Side, kstar: int) -> list[np.ndarray]:
     """I(k) for k = 1..kstar (rows) and each summand (columns) of each definition,
-    integrated once per distinct d (the n* x k* economy)."""
-    table: dict[float, np.ndarray] = {}
-    for d in sorted(set(float(x) for g in defs for x in g.degrees)):
-        table[d] = np.array([hermite_coeff(d, k, side, tol) for k in range(1, kstar + 1)])
+    looked up once per distinct d (the n* x k* economy)."""
+    table = {d: _coeffs(d, side, 1, kstar) for d in set(float(x) for g in defs for x in g.degrees)}
     return [np.array([table[float(d)] for d in g.degrees]).T for g in defs]
 
 
@@ -119,7 +138,6 @@ def cov_summands(
     sigma_ij: float,
     side: Side,
     kstar: int = DEFAULT_KSTAR,
-    tol: float = QUAD_TOL,
 ) -> float:
     """Truncated covariance series sum_{k<=kstar} sigma^k / k! * I_i(k) I_j(k)."""
     if kstar < 1:
@@ -130,8 +148,8 @@ def cov_summands(
     log_fact = 0.0
     for k in range(1, kstar + 1):
         log_fact += np.log(k)
-        ii = hermite_coeff(d_i, k, side, tol)
-        jj = hermite_coeff(d_j, k, side, tol)
+        ii = hermite_coeff(d_i, k, side)
+        jj = hermite_coeff(d_j, k, side)
         total += sigma_ij**k / np.exp(log_fact) * ii * jj
     return float(total)
 
@@ -141,7 +159,7 @@ def cov_summands(
 CovSeries = namedtuple("CovSeries", ["covs", "last_terms", "omega"])
 
 
-def cov_series(defs, sigma, kstar: int = DEFAULT_KSTAR, tol: float = QUAD_TOL, *, full, cross=False) -> CovSeries:
+def cov_series(defs, sigma, kstar: int = DEFAULT_KSTAR, *, full, cross=False) -> CovSeries:
     """One pass over the orders k = 1..kstar for definitions sharing one sigma.
 
     ``full[l]`` asks for the covariance matrix of ``defs[l]``, ``cross`` for
@@ -157,7 +175,7 @@ def cov_series(defs, sigma, kstar: int = DEFAULT_KSTAR, tol: float = QUAD_TOL, *
     s = as_corr(sigma).values
     if s.shape != (n, n):
         raise ValueError(f"correlation matrix must be {n}x{n}, got {s.shape}")
-    coeffs = _coeff_table(defs, side, kstar, tol)
+    coeffs = _coeff_table(defs, side, kstar)
 
     covs = [np.zeros((n, n)) if f else None for f in full]
     last_terms = [0.0] * m
@@ -191,7 +209,7 @@ def cov_series(defs, sigma, kstar: int = DEFAULT_KSTAR, tol: float = QUAD_TOL, *
         for r in range(l, m):
             pairs = list(zip(defs[l].degrees.tolist(), defs[r].degrees.tolist()))
             for a, b in set(pairs) - same.keys():
-                same[a, b] = transform_product_moment(a, b, side, tol) - a * b
+                same[a, b] = transform_product_moment(a, b, side) - a * b
             diag = sum(defs[l].weights * defs[r].weights * [same[pair] for pair in pairs])
             omega[l, r] += diag
             if r != l:
@@ -199,7 +217,7 @@ def cov_series(defs, sigma, kstar: int = DEFAULT_KSTAR, tol: float = QUAD_TOL, *
     return CovSeries(covs, last_terms, omega)
 
 
-def cov_matrix(gdef: GFisherDef, sigma, kstar: int = DEFAULT_KSTAR, tol: float = QUAD_TOL) -> np.ndarray:
+def cov_matrix(gdef: GFisherDef, sigma, kstar: int = DEFAULT_KSTAR) -> np.ndarray:
     """Covariance matrix of the transformed summands T_1..T_n.
 
     Off-diagonal entries come from the truncated series; the diagonal is the
@@ -207,21 +225,21 @@ def cov_matrix(gdef: GFisherDef, sigma, kstar: int = DEFAULT_KSTAR, tol: float =
     converges slowly for two-sided inputs, and exactness on the diagonal is
     what makes the independence case exact downstream).
     """
-    return cov_series([gdef], sigma, kstar, tol, full=[True]).covs[0]
+    return cov_series([gdef], sigma, kstar, full=[True]).covs[0]
 
 
-def var_T(gdef: GFisherDef, sigma, kstar: int = DEFAULT_KSTAR, tol: float = QUAD_TOL) -> float:
+def var_T(gdef: GFisherDef, sigma, kstar: int = DEFAULT_KSTAR) -> float:
     """Null variance of the statistic: w' Cov(T) w."""
-    return float(gdef.weights @ cov_matrix(gdef, sigma, kstar, tol) @ gdef.weights)
+    return float(gdef.weights @ cov_matrix(gdef, sigma, kstar) @ gdef.weights)
 
 
-def cross_cov(defs: list[GFisherDef], sigma, kstar: int = DEFAULT_KSTAR, tol: float = QUAD_TOL) -> np.ndarray:
+def cross_cov(defs: list[GFisherDef], sigma, kstar: int = DEFAULT_KSTAR) -> np.ndarray:
     """m x m covariance matrix across statistics sharing one input panel.
 
     Same-index contributions (sigma_ii = 1) use the exact product-moment
     quadrature; cross-index contributions use the truncated series.
     """
-    return cov_series(defs, sigma, kstar, tol, full=[False] * len(defs), cross=True).omega
+    return cov_series(defs, sigma, kstar, full=[False] * len(defs), cross=True).omega
 
 
 # ---------------------------------------------------------------------------

@@ -321,9 +321,8 @@ def _omnibus_counter(panel, method: str, config: SimConfig, alphas: np.ndarray, 
 
     # minp: the omnibus p-value is monotone in the smallest component p-value,
     # so each level inverts once to a threshold on min_j P(j)
-    tol = minp_tol if minp_tol is not None else None
     thresholds = np.array(
-        [_invert_minp_level(panel, a, tol, config.seed) for a in alphas]
+        [_invert_minp_level(panel, a, minp_tol, config.seed) for a in alphas]
     )
 
     def count_batch(z: np.ndarray) -> tuple[np.ndarray, int]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -50,20 +49,11 @@ def _require_two_sided_integer(gdef: GFisherDef) -> None:
 
 @dataclass
 class SurrogateCorr:
-    """The surrogate correlation matrix M and, on first access, a factor with L L' = M."""
+    """The surrogate correlation matrix M."""
 
     m: np.ndarray
     clamp_count: int = 0
     repair_applied: bool = False
-
-    @cached_property
-    def chol(self) -> np.ndarray:
-        """Cholesky when possible, else a symmetric eigen square root (only L L' = M is required)."""
-        try:
-            return np.linalg.cholesky(self.m + 1e-14 * np.eye(self.m.shape[0]))
-        except np.linalg.LinAlgError:
-            vals, vecs = np.linalg.eigh(self.m)
-            return vecs * np.sqrt(np.maximum(vals, 0.0))
 
 
 @dataclass

@@ -187,8 +187,7 @@ def evaluate(gdef: GFisherDef, pvalues):
     """The statistic T = sum_i w_i T_i: a float for one panel (n,), an array
     of one value per row for a batch (reps, n)."""
     t = transform(gdef, pvalues)
-    if t.ndim == 1:
-        return float(np.dot(gdef.weights, t))
-    if t.ndim != 2:
+    if t.ndim > 2:
         raise ValueError("evaluate expects a panel (n,) or a batch (reps, n)")
-    return t @ gdef.weights
+    out = np.einsum("...i,i->...", t, gdef.weights)  # a batch row sums exactly as its panel does
+    return float(out) if t.ndim == 1 else out

@@ -161,21 +161,6 @@ class TestEigenSpec:
         assert np.array_equal(spec.lambdas, np.sort(np.concatenate(ref))[::-1])
 
 
-class TestLazyFactor:
-    def test_chol_computed_on_first_access(self, monkeypatch):
-        g = GFisherDef.fisher(4)
-        sigma = gen_structure("equal", "III", 4, 0.5)
-        cov = cov_matrix(g, sigma)
-        inner = np.linalg.cholesky
-        calls = []
-        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or inner(a))
-        sc = qform.build_m(g, sigma, cov)
-        assert calls == []
-        first = sc.chol
-        assert sc.chol is first and len(calls) == 1
-        assert np.array_equal(first, inner(sc.m + 1e-14 * np.eye(4)))
-
-
 class TestGeneralizedGammaMethods:
     @pytest.mark.parametrize("method", ["ggd123", "ggd234", "ggdmr"])
     def test_chi2_moments_recover_chi2(self, method):
