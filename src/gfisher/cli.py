@@ -92,7 +92,8 @@ def _resolve_moments(args, gdef, sigma):
         return None
     if args.moments == "qform":
         _reject_unused_reps(args, "--moments qform")
-        return qform.hybrid_moments(qform.qform_spec(gdef, sigma, args.kstar))
+        m = qform.build_m(gdef, sigma, dependence.cov_matrix(gdef, sigma, args.kstar))
+        return qform.hybrid_moments(qform.eigen_spec(gdef, m))
     config = harness.SimConfig(
         sigma=sigma, nreps=max(args.reps or 100_000, 100), seed=args.seed, side=gdef.side
     )

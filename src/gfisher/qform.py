@@ -30,7 +30,6 @@ __all__ = [
     "hybrid_moments",
     "hybrid_shape",
     "qform_sf",
-    "qform_spec",
     "spec_diagnostics",
 ]
 
@@ -121,13 +120,10 @@ def eigen_spec(gdef: GFisherDef, sc: SurrogateCorr) -> QuadFormSpec:
             r = np.sqrt(w * (d >= k))
             vals = np.linalg.eigvalsh(np.outer(r, r) * sc.m)
         lams.append(vals[vals > 1e-14])
-    lam = np.concatenate(lams) if lams else np.zeros(0)
-    lam = np.maximum(lam, 0.0)
-    dropped = 0.0
-    if lam.size:
-        cut = EIG_DROP_REL * lam.max()
-        dropped = float(lam[lam < cut].sum())
-        lam = lam[lam >= cut]
+    lam = np.concatenate(lams)  # never empty: level 1's eigenvalues sum to n; all kept are > 1e-14
+    cut = EIG_DROP_REL * lam.max()
+    dropped = float(lam[lam < cut].sum())
+    lam = lam[lam >= cut]
     return QuadFormSpec(
         lambdas=np.sort(lam)[::-1],
         trace=float(lam.sum()),
@@ -135,12 +131,6 @@ def eigen_spec(gdef: GFisherDef, sc: SurrogateCorr) -> QuadFormSpec:
         repair_applied=sc.repair_applied,
         dropped_mass=dropped,
     )
-
-
-def qform_spec(gdef: GFisherDef, sigma, kstar: int = dependence.DEFAULT_KSTAR) -> QuadFormSpec:
-    """Covariance series -> surrogate correlation -> pooled eigenvalues."""
-    cov_t = dependence.cov_matrix(gdef, sigma, kstar)
-    return eigen_spec(gdef, build_m(gdef, sigma, cov_t))
 
 
 # ---------------------------------------------------------------------------
@@ -157,26 +147,36 @@ class CdfOutcome:
     method: str = "davies"
 
 
+def _cgf_slopes(lams: np.ndarray, s: float) -> tuple[float, float]:
+    """K'(s) and K''(s) of the cumulant generating function K(s) = -1/2 sum log(1 - 2 s lambda)."""
+    r = lams / (1.0 - 2.0 * s * lams)
+    return float(np.sum(r)), 2.0 * float(np.sum(r * r))
+
+
+def _saddlepoint(lams: np.ndarray, t: float, hi: float) -> float:
+    """The root s of K'(s) = t in (0, hi], or hi when K'(hi) < t; needs t > sum(lams).
+
+    Newton on 1 / K'(s) = 1 / t, decreasing and concave in s (a harmonic sum of the linear
+    (1 - 2 s lambda) / lambda), from a start right of the root: the largest term plus the
+    others at s = 0 reach t there. The iterates fall monotonically, never crossing the pole
+    at 1 / (2 max lambda), until a step no longer decreases s; equal eigenvalues take one step.
+    """
+    lmax = float(lams.max())
+    s = min((1.0 - lmax / (t - float(lams.sum()) + lmax)) / (2.0 * lmax), hi)
+    for _ in range(100):  # a hard cap; about 5 steps are taken
+        k1, k2 = _cgf_slopes(lams, s)
+        step = s - (k1 - t) * k1 / (t * k2)
+        if not step < s:
+            break
+        s = step
+    return s
+
+
 def _chernoff_tail(lams: np.ndarray, t: float) -> float:
-    """Upper bound on P(Q > t) via the moment generating function."""
+    """Upper bound on P(Q > t) via the moment generating function, exp(K(s) - s t) at the saddlepoint."""
     if t <= lams.sum():
         return 1.0
-    hi = 0.5 / lams.max() * (1.0 - 1e-12)
-
-    def slope(s: float) -> float:
-        return float(np.sum(lams / (1.0 - 2.0 * s * lams))) - t
-
-    lo = 0.0
-    if slope(hi) < 0:
-        s = hi
-    else:
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if slope(mid) > 0:
-                hi = mid
-            else:
-                lo = mid
-        s = 0.5 * (lo + hi)
+    s = _saddlepoint(lams, t, 0.5 / lams.max() * (1.0 - 1e-12))
     log_bound = -s * t - 0.5 * float(np.sum(np.log1p(-2.0 * s * lams)))
     return float(np.exp(min(log_bound, 0.0)))
 
@@ -192,14 +192,11 @@ def _lattice_survival(lams: np.ndarray, x: float, acc: float) -> CdfOutcome:
     # step from the aliasing bound: 2 pi / step - x must carry < budget mass
     t_hi = x + float(lams.sum()) + 4.0 * float(np.sqrt(2.0 * np.sum(lams**2)))
     for _ in range(200):
-        if _chernoff_tail(lams, t_hi) <= budget:
+        alias_bound = _chernoff_tail(lams, t_hi)
+        if alias_bound <= budget:
             break
         t_hi *= 1.4
-    alias_bound = _chernoff_tail(lams, t_hi)
     delta = 2.0 * np.pi / (x + t_hi)
-
-    def log_mod(u: float) -> float:
-        return -0.25 * float(np.sum(np.log1p(4.0 * lams**2 * u * u)))
 
     def trunc_bound(k0: int) -> float:
         # Dirichlet test: the term phase advances by ~ delta * (x - drift) per
@@ -211,7 +208,7 @@ def _lattice_survival(lams: np.ndarray, x: float, acc: float) -> CdfOutcome:
         if eff <= 1e-12:
             return np.inf
         eff = min(eff, np.pi)
-        a0 = np.exp(log_mod(u0)) / (np.pi * (k0 + 0.5))
+        a0 = np.exp(-0.25 * float(np.sum(np.log1p(4.0 * lams**2 * u0 * u0)))) / (np.pi * (k0 + 0.5))
         return a0 / np.sin(0.5 * eff)
 
     n_terms = 64

@@ -176,6 +176,8 @@ def transform(gdef: GFisherDef, pvalues) -> np.ndarray:
     if np.any(p < 0) or np.any(p > 1):
         raise ValueError("p-values must lie in [0, 1] (0 is clamped)")
     p = np.maximum(p, kernels.PROB_CLAMP_LO)
+    if np.all(gdef.degrees == gdef.degrees[0]):  # one elementwise map: no column masks, no copies
+        return kernels._chisq_isf(p, float(gdef.degrees[0]))
     out = np.empty_like(p)
     for d in np.unique(gdef.degrees):
         cols = gdef.degrees == d

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, gamma
 
-from gfisher import dependence
+from gfisher import dependence, qform
 from gfisher.methods import fit_null
 from gfisher.qform import (
     QuadFormSpec,
@@ -13,7 +13,6 @@ from gfisher.qform import (
     hybrid_moments,
     hybrid_shape,
     qform_sf,
-    qform_spec,
     _imhof_survival,
 )
 from gfisher.statistic import GFisherDef
@@ -94,7 +93,7 @@ class TestEigenSpec:
         rho = 0.35
         s = np.array([[1.0, rho], [rho, 1.0]])
         g = GFisherDef(degrees=[1, 1], side="two")
-        spec = qform_spec(g, s)
+        spec = eigen_spec(g, build_m(g, s, dependence.cov_matrix(g, s)))
         np.testing.assert_allclose(np.sort(spec.lambdas), [1 - rho, 1 + rho], atol=1e-8)
 
     def test_trace_identity(self):
@@ -121,7 +120,7 @@ class TestEigenSpec:
         # no clamping/repair: 2 sum(lambda^2) equals the series variance
         s = dependence.gen_structure("equal", "III", 4, 0.5).values
         g = GFisherDef(degrees=[1, 2, 3, 2], weights=[0.5, 1.5, 1.0, 1.0], side="two")
-        spec = qform_spec(g, s, kstar=10)
+        spec = eigen_spec(g, build_m(g, s, dependence.cov_matrix(g, s, kstar=10)))
         assert not spec.repair_applied and spec.clamp_count == 0
         var_q = 2.0 * float(np.sum(spec.lambdas**2))
         assert var_q == pytest.approx(dependence.var_T(g, s, kstar=10), rel=1e-10)
@@ -200,6 +199,128 @@ class TestQformCdf:
             q_cdf(np.zeros(3), 1.0)
 
 
+def _oracle_chernoff(lams, t):
+    """The saddlepoint s and Chernoff bound by 100 bisection steps on K'(s) = t (oracle)."""
+    if t <= lams.sum():
+        return 0.0, 1.0
+    hi = 0.5 / lams.max() * (1.0 - 1e-12)
+
+    def slope(s):
+        return float(np.sum(lams / (1.0 - 2.0 * s * lams))) - t
+
+    lo = 0.0
+    if slope(hi) < 0:
+        s = hi
+    else:
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if slope(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        s = 0.5 * (lo + hi)
+    log_bound = -s * t - 0.5 * float(np.sum(np.log1p(-2.0 * s * lams)))
+    return s, float(np.exp(min(log_bound, 0.0)))
+
+
+def _random_spectrum(rng, i):
+    k = int(rng.integers(1, 60))
+    if i % 3 == 0:
+        return rng.exponential(1.0, k)
+    if i % 3 == 1:
+        return rng.uniform(0.01, 1.0, k) ** 3
+    return np.concatenate([[rng.uniform(5.0, 50.0)], rng.uniform(0.0, 0.2, k)])
+
+
+class TestSaddlepointAgainstOracle:
+    MAX_SLOPES = 12
+
+    @pytest.fixture
+    def slope_calls(self, monkeypatch):
+        calls = []
+        inner = qform._cgf_slopes
+
+        def counted(lams, s):
+            calls.append(s)
+            return inner(lams, s)
+
+        monkeypatch.setattr(qform, "_cgf_slopes", counted)
+        return calls
+
+    def check(self, lams, t, slope_calls):
+        lams = np.asarray(lams, dtype=float)
+        s_ref, ref = _oracle_chernoff(lams, t)
+        slope_calls.clear()
+        got = qform._chernoff_tail(lams, t)
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0), (lams, t)
+        assert len(slope_calls) <= self.MAX_SLOPES, (lams, t, len(slope_calls))
+        assert np.all(np.diff(slope_calls) < 0)  # the iterates fall monotonically
+        return s_ref
+
+    def test_random_spectra(self, slope_calls):
+        rng = np.random.default_rng(8)
+        for i in range(300):
+            lams = _random_spectrum(rng, i)
+            self.check(lams, float(lams.sum() * np.exp(rng.uniform(0.01, 4.0))), slope_calls)
+
+    def test_one_dominant_eigenvalue(self, slope_calls):
+        lams = np.array([40.0, 0.3, 0.1, 0.05, 0.01])
+        for f in (1.01, 1.5, 3.0, 20.0):
+            self.check(lams, f * lams.sum(), slope_calls)
+
+    @pytest.mark.parametrize("k", [2, 20, 59])
+    def test_all_equal(self, k, slope_calls):
+        lams = np.full(k, 0.7)
+        for f in (1.01, 1.5, 3.0, 20.0):
+            self.check(lams, f * lams.sum(), slope_calls)
+
+    def test_single_eigenvalue(self, slope_calls):
+        for t in (1.01, 2.0, 30.0):
+            self.check([1.3], t, slope_calls)
+            # the start is already the root of one term's K'(s) = t
+            assert len(slope_calls) <= 2
+
+    def test_t_just_above_trace(self, slope_calls):
+        lams = np.array([2.0, 1.0, 0.5, 0.5, 0.2])
+        for f in (1.0 + 1e-10, 1.0 + 1e-6, 1.001):
+            self.check(lams, f * lams.sum(), slope_calls)
+
+    def test_far_tail(self, slope_calls):
+        # the bound underflows to 0 there; the saddlepoint itself is compared
+        for lams in (np.array([2.0, 1.0, 0.5]), np.full(59, 0.7), np.array([40.0, 0.3, 0.1])):
+            t = 1e4 * lams.sum()
+            s_ref = self.check(lams, t, slope_calls)
+            s = qform._saddlepoint(lams, t, 0.5 / lams.max() * (1.0 - 1e-12))
+            assert s == pytest.approx(s_ref, rel=1e-13)
+
+    def test_root_beyond_the_pole_guard(self, slope_calls):
+        # K'(hi) < t: both stop at hi, one slope evaluation
+        lams = np.array([1.0])
+        t = 2e12
+        hi = 0.5 * (1.0 - 1e-12)
+        assert _oracle_chernoff(lams, t)[0] == hi
+        assert qform._saddlepoint(lams, t, hi) == hi
+        assert len(slope_calls) == 1
+
+    def test_qform_sf_matches_oracle_path(self, monkeypatch):
+        spectra = [
+            np.array([1.0]),
+            np.array([2.0, 1.0, 0.5, 0.5, 0.2]),
+            np.full(12, 0.7),
+            np.array([40.0, 0.3, 0.1, 0.05, 0.01]),
+            np.random.default_rng(3).exponential(1.0, 30),
+        ]
+        grid = [(lams, f * lams.sum()) for lams in spectra for f in (0.3, 1.0, 2.0, 4.0, 8.0)]
+        newton = [qform_sf(lams, x) for lams, x in grid]
+        monkeypatch.setattr(qform, "_chernoff_tail", lambda lams, t: _oracle_chernoff(lams, t)[1])
+        for (lams, x), got in zip(grid, newton):
+            ref = qform_sf(lams, x)
+            assert (got.value, got.n_terms, got.method, got.converged) == (
+                ref.value, ref.n_terms, ref.method, ref.converged
+            ), (lams, x)
+            assert got.error_bound == pytest.approx(ref.error_bound, rel=1e-13)
+
+
 class TestHybridMoments:
     def test_unit_lambdas_give_chi2_moments(self):
         spec = QuadFormSpec(lambdas=np.ones(5), trace=5.0)
@@ -257,7 +378,7 @@ class TestPvalueQ:
         s = dependence.gen_structure("equal", "III", 6, 0.7).values
         w = np.array([1.0, 2.0, 0.5, 1.5, 0.5, 0.5])
         g = GFisherDef(degrees=np.ones(6), weights=w, side="two")
-        spec = qform_spec(g, s)
+        spec = eigen_spec(g, build_m(g, s, dependence.cov_matrix(g, s)))
         wn = w / w.mean()
         direct = np.linalg.eigvalsh(np.sqrt(np.outer(wn, wn)) * s)
         np.testing.assert_allclose(

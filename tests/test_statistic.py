@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from gfisher import kernels
 from gfisher.statistic import (
     GFisherDef,
     InputPanel,
     evaluate,
     to_pvalues,
     transform,
+    z_to_pvalues,
 )
 
 
@@ -179,3 +181,44 @@ class TestEvaluate:
         g = GFisherDef(degrees=[2.0, 2.0])
         with pytest.raises(ValueError):
             evaluate(g, np.full((2, 3, 2), 0.5))
+
+
+class TestColumnReference:
+    """transform and evaluate agree exactly with a column-by-column summand map."""
+
+    DEFS = {
+        "d=1": GFisherDef(degrees=[1.0] * 5, weights=[1, 2, 1, 0.5, 1]),
+        "d=2": GFisherDef(degrees=[2.0] * 5, weights=[1, 2, 1, 0.5, 1]),
+        "d=3.5": GFisherDef(degrees=[3.5] * 5, weights=[1, 2, 1, 0.5, 1]),
+        "d=8": GFisherDef(degrees=[8.0] * 5, weights=[1, 2, 1, 0.5, 1]),
+        "d=1/2/3": GFisherDef(degrees=[1, 2, 3, 2, 1], weights=[1, 2, 1, 0.5, 1]),
+    }
+
+    @staticmethod
+    def batch():
+        p = np.random.default_rng(12).uniform(0.0, 1.0, size=(40, 5)) ** 4
+        p[0] = 1.0
+        p[1] = z_to_pvalues(np.array([45.0, -45.0, 1e-3, 38.0, 0.0]), "two")  # 0 from z = 45 is clamped
+        p[2, ::2] = kernels.PROB_CLAMP_LO
+        return p
+
+    @staticmethod
+    def reference(g, p):
+        clamped = np.maximum(p, kernels.PROB_CLAMP_LO)
+        cols = [kernels._chisq_isf(clamped[..., i], float(d)) for i, d in enumerate(g.degrees)]
+        return np.stack(cols, axis=-1)
+
+    @pytest.mark.parametrize("name", list(DEFS))
+    def test_batch_and_panels(self, name):
+        g, p = self.DEFS[name], self.batch()
+        assert p[1, 0] == 0.0
+        ref = self.reference(g, p)
+        t = transform(g, p)
+        assert np.array_equal(t, ref)
+        assert np.all(t[0] == 0.0) and not np.any(np.signbit(t[0]))  # +0.0 at p = 1, not -0
+        assert np.array_equal(t[1, 0], t[2, 0])
+        stat = evaluate(g, p)
+        assert np.array_equal(stat, np.einsum("...i,i->...", ref, g.weights))
+        for row, p_row in enumerate(p):
+            assert np.array_equal(transform(g, p_row), ref[row])
+            assert evaluate(g, p_row) == stat[row]
