@@ -11,7 +11,7 @@ the minimum p-value and the Cauchy combination.
 
 from .dependence import CorrMatrix, cov_matrix, cov_summands, cross_cov, gen_structure, var_T
 from .harness import SimConfig, empirical_moments, empirical_tie, inflation_factor, survival_compare
-from .methods import METHODS, analytic_moments, compute_pvalue, fit_null
+from .methods import METHODS, compute_pvalue, fit_null
 from .omnibus import build_panel, component_pvalues, omnibus_pvalues, pvalue_cc
 from .qform import hybrid_moments
 from .statistic import GFisherDef, InputPanel, PValueResult, evaluate, to_pvalues, transform
@@ -38,7 +38,6 @@ __all__ = [
     "NoSolutionError",
     "PValueResult",
     "SimConfig",
-    "analytic_moments",
     "build_panel",
     "component_pvalues",
     "compute_pvalue",

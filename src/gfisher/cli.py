@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=list(methods.METHODS), default="hyb")
     p.add_argument("--moments", choices=["empirical", "qform"], default=None)
     p.add_argument("--reps", type=int, help="replicates for empirical moments")
-    p.add_argument("--qf-acc", dest="qf_acc", type=float, default=1e-9)
+    p.add_argument("--qf-acc", dest="qf_acc", type=float, default=qform.DEFAULT_QF_ACC)
     _add_common(p)
     p.set_defaults(handler=_cmd_pvalue)
 
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=list(methods.METHODS), default=None)
     p.add_argument("--reps", type=int, help="replicates for empirical moments")
     p.add_argument("--minp-tol", dest="minp_tol", type=float, default=omnibus.MINP_DEFAULT_TOL)
-    p.add_argument("--qf-acc", dest="qf_acc", type=float, default=1e-9)
+    p.add_argument("--qf-acc", dest="qf_acc", type=float, default=qform.DEFAULT_QF_ACC)
     _add_common(p)
     p.set_defaults(handler=_cmd_omnibus)
 

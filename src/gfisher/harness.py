@@ -238,9 +238,7 @@ def empirical_tie(
     moments: MomentSummary | None = None,
     moments_nreps: int = 100_000,
     kstar: int = dependence.DEFAULT_KSTAR,
-    qf_acc: float = 1e-9,
     threads: int = 1,
-    minp_tol: float | None = None,
 ) -> TIEReport:
     """Fraction of simulated replicates whose p-value falls below each level.
 
@@ -260,14 +258,14 @@ def empirical_tie(
         )
 
     if isinstance(target, omnibus.OmnibusPanel):
-        count_batch = _omnibus_counter(target, method, config, alphas, minp_tol)
+        count_batch = _omnibus_counter(target, method, config, alphas)
         tag = f"omnibus_{method}"
     else:
         gdef: GFisherDef = target
         if gdef.side != config.side:
             raise ValueError("definition and simulation config disagree on sidedness")
         mom = _auto_moments(gdef, config, method, moments, moments_nreps)
-        null = methods.fit_null(gdef, config.sigma, method, kstar=kstar, moments=mom, qf_acc=qf_acc)
+        null = methods.fit_null(gdef, config.sigma, method, kstar=kstar, moments=mom)
 
         def count_batch(z: np.ndarray) -> tuple[np.ndarray, int]:
             t = evaluate(gdef, z_to_pvalues(z, config.side))
@@ -304,7 +302,7 @@ def empirical_tie(
     )
 
 
-def _omnibus_counter(panel, method: str, config: SimConfig, alphas: np.ndarray, minp_tol):
+def _omnibus_counter(panel, method: str, config: SimConfig, alphas: np.ndarray):
     if method not in ("cc", "minp"):
         raise ValueError("omnibus targets take method 'cc' or 'minp'")
     if panel.side != config.side:
@@ -322,7 +320,7 @@ def _omnibus_counter(panel, method: str, config: SimConfig, alphas: np.ndarray, 
     # minp: the omnibus p-value is monotone in the smallest component p-value,
     # so each level inverts once to a threshold on min_j P(j)
     thresholds = np.array(
-        [_invert_minp_level(panel, a, minp_tol, config.seed) for a in alphas]
+        [_invert_minp_level(panel, a, config.seed) for a in alphas]
     )
 
     def count_batch(z: np.ndarray) -> tuple[np.ndarray, int]:
@@ -332,8 +330,8 @@ def _omnibus_counter(panel, method: str, config: SimConfig, alphas: np.ndarray, 
     return count_batch
 
 
-def _invert_minp_level(panel, alpha: float, tol: float | None, seed: int) -> float:
-    rect_tol = tol if tol is not None else float(np.clip(alpha / 50.0, 1e-7, 1e-4))
+def _invert_minp_level(panel, alpha: float, seed: int) -> float:
+    rect_tol = float(np.clip(alpha / 50.0, 1e-7, 1e-4))
 
     def f(log_t: float) -> float:
         res = omnibus.minp_from_components(

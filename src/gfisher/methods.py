@@ -19,7 +19,7 @@ from .kernels import PROB_CLAMP_LO, gamma_sf
 from .statistic import GFisherDef, InputPanel, PValueResult, evaluate, to_pvalues
 from .surrogates import MomentSummary
 
-__all__ = ["METHODS", "NullApprox", "analytic_moments", "compute_pvalue", "fit_null"]
+__all__ = ["METHODS", "NullApprox", "compute_pvalue", "fit_null"]
 
 METHODS = ("gb", "mr", "q", "hyb", "ggd123", "ggd234", "ggdmr")
 
@@ -50,11 +50,6 @@ class NullApprox:
             p = out.value
             diag.update({"qf_error_bound": out.error_bound, "qf_converged": out.converged, "qf_method": out.method})
         return PValueResult(p, float(t_obs), self.method, side=self.gdef.side, diagnostics=diag)
-
-
-def analytic_moments(gdef: GFisherDef, sigma, kstar: int = dependence.DEFAULT_KSTAR) -> MomentSummary:
-    """Exact null mean and variance (higher moments are not analytic here)."""
-    return MomentSummary(mu=gdef.mean, var=dependence.var_T(gdef, sigma, kstar), source="analytic")
 
 
 def _gamma_survival(shape: float, mu: float, sd: float) -> Callable[[np.ndarray], np.ndarray]:

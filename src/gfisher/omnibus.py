@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 from scipy.stats import qmc
 
-from . import dependence, methods
+from . import dependence, methods, qform
 from .kernels import PROB_CLAMP_HI, PROB_CLAMP_LO
 from .statistic import GFisherDef, InputPanel, PValueResult, evaluate, to_pvalues, z_to_pvalues
 from .surrogates import MomentSummary
@@ -32,6 +32,7 @@ __all__ = [
 
 MINP_DEFAULT_TOL = 1e-4
 MINP_MAX_POINTS = 10_000_000
+MINP_BATCHES = 24  # scrambled Sobol batches behind each rectangle error estimate
 
 
 def _default_method(side: str) -> str:
@@ -48,7 +49,6 @@ class OmnibusPanel:
     sigma: np.ndarray
     fitted: list[methods.NullApprox]
     omega: np.ndarray
-    means: np.ndarray
     corr: np.ndarray
     method_tags: list[str]
     diagnostics: dict = field(default_factory=dict)
@@ -69,7 +69,7 @@ def build_panel(
     *,
     kstar: int = dependence.DEFAULT_KSTAR,
     moments: Sequence[MomentSummary | None] | None = None,
-    qf_acc: float = 1e-9,
+    qf_acc: float = qform.DEFAULT_QF_ACC,
 ) -> OmnibusPanel:
     """Validate the definitions, fit each component, and build the cross covariance."""
     defs = list(defs)
@@ -95,7 +95,6 @@ def build_panel(
     fitted = [
         methods._fit(g, sigma, tag, cov, kstar, mom, qf_acc) for g, tag, cov, mom in zip(defs, checked, covs, moments)
     ]
-    means = np.array([g.mean for g in defs])
     scale = 1.0 / np.sqrt(np.diag(omega))
     corr = omega * np.outer(scale, scale)
     corr = 0.5 * (corr + corr.T)
@@ -104,7 +103,7 @@ def build_panel(
     if np.linalg.eigvalsh(corr)[0] < -1e-10:
         corr = dependence.nearest_correlation(corr)
         diag["corr_repaired"] = True
-    return OmnibusPanel(defs, dependence.as_corr(sigma).values, fitted, omega, means, corr, tags, diag)
+    return OmnibusPanel(defs, dependence.as_corr(sigma).values, fitted, omega, corr, tags, diag)
 
 
 def component_pvalues(panel: OmnibusPanel, values, kind: str = "z") -> np.ndarray:
@@ -167,8 +166,6 @@ def mvn_rect_prob(
     *,
     abs_tol: float = MINP_DEFAULT_TOL,
     seed: int = 0,
-    n_batches: int = 24,
-    max_points: int = MINP_MAX_POINTS,
 ) -> tuple[float, float]:
     """P(Z <= upper) for Z ~ N(0, corr) by randomized quasi-Monte Carlo.
 
@@ -200,8 +197,8 @@ def mvn_rect_prob(
     total = 0
     est, err = np.nan, np.inf
     while True:
-        batch_means = np.empty(n_batches)
-        for b in range(n_batches):
+        batch_means = np.empty(MINP_BATCHES)
+        for b in range(MINP_BATCHES):
             sob = qmc.Sobol(d=m - 1, scramble=True, seed=rng)
             u = sob.random(n_per)
             f = np.full(n_per, ndtr(upper[0] / chol[0, 0]))
@@ -214,10 +211,10 @@ def mvn_rect_prob(
                 e_prev = ndtr((upper[i] - shift) / chol[i, i])
                 f *= e_prev
             batch_means[b] = f.mean()
-        total += n_batches * n_per
+        total += MINP_BATCHES * n_per
         est = float(batch_means.mean())
-        err = float(3.5 * batch_means.std(ddof=1) / np.sqrt(n_batches))
-        if err <= abs_tol or total >= max_points:
+        err = float(3.5 * batch_means.std(ddof=1) / np.sqrt(MINP_BATCHES))
+        if err <= abs_tol or total >= MINP_MAX_POINTS:
             return est, err
         n_per *= 2
 

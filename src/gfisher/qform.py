@@ -5,17 +5,15 @@ Gaussians whose pairwise covariances match Cov(T_i, T_j); the weighted total
 is then a nonnegative quadratic form, i.e. a weighted sum of independent
 chi2_1 variables. Its CDF is computed by inverting the characteristic
 function on a lattice with certified discretization and truncation bounds
-(Davies-style), falling back to adaptive quadrature of the Imhof integrand
-when the lattice bound cannot be certified within budget.
+(Davies-style); a point the lattice cannot certify within budget is reported
+unconverged with the lattice's own bound.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from . import dependence
 from .statistic import GFisherDef
@@ -235,48 +233,12 @@ def _lattice_survival(lams: np.ndarray, x: float, acc: float) -> CdfOutcome:
     )
 
 
-def _imhof_survival(lams: np.ndarray, x: float, acc: float) -> CdfOutcome:
-    """Adaptive quadrature of the Imhof integrand; fallback path and oracle.
-
-    P(Q > x) = 1/2 + (1/pi) int_0^inf sin(theta(u)) / (u rho(u)) du with
-    theta(u) = (sum arctan(lam u) - x u) / 2, rho(u) = prod (1 + lam^2 u^2)^{1/4}.
-    The truncation point comes from the absolute tail bound, so this path is
-    only efficient when several eigenvalues are present.
-    """
-    k = lams.size
-    log_prod = float(np.sum(np.log(lams)))
-    # absolute tail: int_U^inf du / (pi u^{1+k/2} sqrt(prod lam)) <= acc/2
-    log_u = (np.log(4.0 / (np.pi * k * acc)) - 0.5 * log_prod) * (2.0 / k)
-    u_max = float(np.exp(min(log_u, 50.0)))
-    trunc = 2.0 / (np.pi * k * np.exp(0.5 * log_prod) * u_max ** (k / 2.0))
-
-    def integrand(u: float) -> float:
-        if u <= 0.0:
-            return 0.5 * (float(lams.sum()) - x) / np.pi
-        theta = 0.5 * (float(np.sum(np.arctan(lams * u))) - x * u)
-        log_rho = 0.25 * float(np.sum(np.log1p(lams**2 * u * u)))
-        return np.sin(theta) / (u * np.exp(log_rho)) / np.pi
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, quad_err = quad(integrand, 0.0, u_max, limit=2000, epsabs=acc / 2.0, epsrel=0.0)
-    surv = 0.5 + val
-    err = quad_err + trunc
-    return CdfOutcome(
-        value=min(max(surv, 0.0), 1.0),
-        error_bound=float(err),
-        converged=bool(err <= acc),
-        n_terms=0,
-        method="imhof",
-    )
-
-
 def qform_sf(spec: QuadFormSpec | np.ndarray, x: float, acc: float = DEFAULT_QF_ACC) -> CdfOutcome:
     """P(Q > x) for Q = sum_j lambda_j chi2_1, with its certified error bound.
 
-    The lattice inversion runs first; when it cannot certify ``acc``, the
-    Imhof quadrature is taken instead if its bound is smaller. Exactly 1 at
-    x <= 0.
+    The lattice inversion; where it cannot certify ``acc`` within its term
+    budget, the outcome is unconverged and carries the lattice's own bound.
+    Exactly 1 at x <= 0.
     """
     lams = spec.lambdas if isinstance(spec, QuadFormSpec) else np.asarray(spec, dtype=float)
     lams = lams[lams > 0.0]
@@ -285,12 +247,7 @@ def qform_sf(spec: QuadFormSpec | np.ndarray, x: float, acc: float = DEFAULT_QF_
     x = float(x)
     if x <= 0.0:
         return CdfOutcome(1.0, 0.0, True, 0, "exact")
-    out = _lattice_survival(lams, x, acc)
-    if not out.converged:
-        alt = _imhof_survival(lams, x, acc)
-        if alt.error_bound < out.error_bound:
-            return alt
-    return out
+    return _lattice_survival(lams, x, acc)
 
 
 # ---------------------------------------------------------------------------

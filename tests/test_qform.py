@@ -1,19 +1,22 @@
 """Quadratic-form surrogate: M matrix, eigen spectrum, CDF inversion, hybrid."""
 
+import warnings
+
 import numpy as np
 import pytest
-from scipy.stats import chi2, gamma
+from scipy.integrate import IntegrationWarning, quad
+from scipy.stats import chi2, gamma, norm
 
 from gfisher import dependence, qform
-from gfisher.methods import fit_null
+from gfisher.methods import compute_pvalue, fit_null
 from gfisher.qform import (
+    CdfOutcome,
     QuadFormSpec,
     build_m,
     eigen_spec,
     hybrid_moments,
     hybrid_shape,
     qform_sf,
-    _imhof_survival,
 )
 from gfisher.statistic import GFisherDef
 
@@ -25,6 +28,42 @@ def fisher_two_sided(n):
 def q_cdf(spec, x, acc=1e-9):
     """P(Q <= x) as the complement of the certified survival."""
     return 1.0 - qform_sf(spec, x, acc).value
+
+
+def _imhof_survival(lams: np.ndarray, x: float, acc: float) -> CdfOutcome:
+    """Adaptive quadrature of the Imhof integrand; oracle.
+
+    P(Q > x) = 1/2 + (1/pi) int_0^inf sin(theta(u)) / (u rho(u)) du with
+    theta(u) = (sum arctan(lam u) - x u) / 2, rho(u) = prod (1 + lam^2 u^2)^{1/4}.
+    The truncation point comes from the absolute tail bound, so this path is
+    only efficient when several eigenvalues are present.
+    """
+    k = lams.size
+    log_prod = float(np.sum(np.log(lams)))
+    # absolute tail: int_U^inf du / (pi u^{1+k/2} sqrt(prod lam)) <= acc/2
+    log_u = (np.log(4.0 / (np.pi * k * acc)) - 0.5 * log_prod) * (2.0 / k)
+    u_max = float(np.exp(min(log_u, 50.0)))
+    trunc = 2.0 / (np.pi * k * np.exp(0.5 * log_prod) * u_max ** (k / 2.0))
+
+    def integrand(u: float) -> float:
+        if u <= 0.0:
+            return 0.5 * (float(lams.sum()) - x) / np.pi
+        theta = 0.5 * (float(np.sum(np.arctan(lams * u))) - x * u)
+        log_rho = 0.25 * float(np.sum(np.log1p(lams**2 * u * u)))
+        return np.sin(theta) / (u * np.exp(log_rho)) / np.pi
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val, quad_err = quad(integrand, 0.0, u_max, limit=2000, epsabs=acc / 2.0, epsrel=0.0)
+    surv = 0.5 + val
+    err = quad_err + trunc
+    return CdfOutcome(
+        value=min(max(surv, 0.0), 1.0),
+        error_bound=float(err),
+        converged=bool(err <= acc),
+        n_terms=0,
+        method="imhof",
+    )
 
 
 class TestBuildM:
@@ -197,6 +236,31 @@ class TestQformCdf:
     def test_empty_spectrum_rejected(self):
         with pytest.raises(ValueError):
             q_cdf(np.zeros(3), 1.0)
+
+    @pytest.mark.parametrize(
+        "lams, x",
+        [([1.0], 1e-4), ([1.0, 1.0], 1e-6), ([5.0, 0.01], 1e-6)],
+    )
+    def test_uncertified_point_bound_holds(self, lams, x):
+        # few eigenvalues at small x: the lattice cannot certify 1e-9 within its
+        # term budget, and its reported bound must still cover the error
+        out = qform_sf(np.array(lams), x)
+        assert out.method == "davies" and not out.converged
+        assert abs(out.value - _two_lambda_sf(lams, x)) <= out.error_bound
+
+
+def _two_lambda_sf(lams, x):
+    """P(l1 X1 + l2 X2 > x) for X ~ chi2_1 by a 1-D convolution quadrature in
+    v = sqrt(X1); chi2.sf for one or two equal eigenvalues (oracle)."""
+    if len(set(lams)) == 1:
+        return float(chi2.sf(x / lams[0], len(lams)))
+    l1, l2 = lams
+
+    def f(v):
+        return 2.0 * norm.pdf(v) * chi2.cdf((x - l1 * v * v) / l2, 1)
+
+    cdf, _ = quad(f, 0.0, np.sqrt(x / l1), epsabs=1e-15, epsrel=1e-12)
+    return 1.0 - cdf
 
 
 def _oracle_chernoff(lams, t):
@@ -371,6 +435,13 @@ class TestPvalueQ:
         g = GFisherDef.fisher(5, side="one")
         with pytest.raises(ValueError):
             fit_null(g, np.eye(5), "q").pvalue(10.0)
+
+    def test_uncertified_pvalue_within_its_bound(self):
+        # z = 0.01 gives T = 1e-4, a point the lattice cannot certify at 1e-9
+        res = compute_pvalue(GFisherDef(degrees=[1]), np.eye(1), [0.01], method="q")
+        assert not res.diagnostics["qf_converged"]
+        assert res.diagnostics["qf_method"] == "davies"
+        assert abs(res.pvalue - float(chi2.sf(1e-4, 1))) <= res.diagnostics["qf_error_bound"]
 
     def test_d1_exactness_any_sigma(self):
         # with all d = 1 the surrogate equals the statistic itself: its
