@@ -6,8 +6,10 @@ built on top of these primitives.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from scipy.special import gammaincc, gammainccinv, ndtri
+from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv, gammaln, hyperu, ndtri
 
 __all__ = [
     "GAUSS_HALVING",
@@ -31,19 +33,84 @@ MAX_HERMITE_ORDER = 24
 PROB_CLAMP_LO = 1e-300
 PROB_CLAMP_HI = 1.0 - 1e-16
 
+# The start table of the general-d summand map: log x against y = log(-log p)
+# at step 1/16, from p = 1 - 2^-53 (the largest double below 1) to the smallest
+# subnormal (-log p = 744.4)
+_ISF_STEP = 1.0 / 16
+_ISF_Y0 = np.log(2.0**-53)
+_ISF_NODES = int(np.ceil((np.log(745.0) - _ISF_Y0) / _ISF_STEP)) + 1
+
+
+def _newton_isf(a: float, x, p, q, v):
+    """One Newton step from x toward Q(a, x) = p = exp(-v), i.e. P(a, x) = q = 1 - p.
+
+    The residual is taken on the tail that does not cancel: Q - p for p < 1/2,
+    q - P otherwise. Below PROB_CLAMP_LO, where Q nears the subnormal range, the
+    step is on log Q + v, with Q / f = x U(1, a + 1, x) from the Tricomi function.
+    """
+    lf = (a - 1.0) * np.log(x) - x - gammaln(a)  # log of the gamma(a) density f at x
+    deep = p < PROB_CLAMP_LO
+    if deep.any():
+        out = np.empty_like(x)
+        out[~deep] = _newton_isf(a, x[~deep], p[~deep], q[~deep], v[~deep])
+        u = x[deep] * hyperu(1.0, a + 1.0, x[deep])
+        out[deep] = x[deep] + (np.log(u) + lf[deep] + v[deep]) * u
+        return out
+    up = p < 0.5
+    r = np.empty_like(x)
+    r[up] = gammaincc(a, x[up]) - p[up]
+    r[~up] = q[~up] - gammainc(a, x[~up])
+    return x + r / np.exp(lf)
+
+
+@lru_cache(maxsize=None)
+def _isf_table(a: float) -> np.ndarray:
+    """Cubic Hermite coefficients of log x(y), one row per table interval, for Q(a, x) = exp(-exp(y)).
+
+    The nodes come from scipy's inverse polished by Newton; the slopes
+    d log x / dy = v exp(-v) / (x f(x)) from the closed-form density.
+    """
+    v = np.exp(_ISF_Y0 + _ISF_STEP * np.arange(_ISF_NODES))
+    p, q = np.exp(-v), -np.expm1(-v)
+    x = np.where(p < 0.5, gammainccinv(a, np.maximum(p, PROB_CLAMP_LO)), gammaincinv(a, q))
+    for _ in range(4):  # nodes past the clamp start up to 10% off; 4 steps reach the ulp level
+        x = _newton_isf(a, x, p, q, v)
+    lx = np.log(x)
+    m = _ISF_STEP * np.exp(np.log(v) - v - lx - ((a - 1.0) * lx - x - gammaln(a)))
+    d = lx[1:] - lx[:-1]
+    return np.stack([lx[:-1], m[:-1], 3.0 * d - 2.0 * m[:-1] - m[1:], m[:-1] + m[1:] - 2.0 * d], axis=1)
+
+
+def _gamma_isf(a: float, p) -> np.ndarray:
+    """x with Q(a, x) = p for p in (0, 1), flat: a start from the table, then one Newton step."""
+    v = -np.log(p)
+    s = (np.log(np.maximum(v, 2.0**-53)) - _ISF_Y0) / _ISF_STEP
+    j = np.minimum(s.astype(np.intp), _ISF_NODES - 2)
+    s -= j  # the offset into interval j, in steps
+    c = _isf_table(a).take(j, axis=0)
+    x = np.exp(c[:, 0] + s * (c[:, 1] + s * (c[:, 2] + s * c[:, 3])))
+    return _newton_isf(a, x, p, 1.0 - p, v)
+
+
 def _chisq_isf(p, d: float):
     """Upper-tail chi-square quantile for one d, without input checks.
 
     This is the package's one summand map T = F_d^{-1}(1 - P): the statistic,
     the covariance-series integrands and the null simulation all call it.
-    d = 1 and d = 2 use the closed forms (Phi^{-1}(p/2))^2 and -2 log p, other
-    d the regularized incomplete-gamma inverse. p = 1 maps to 0.
+    d = 1 and d = 2 use the closed forms (Phi^{-1}(p/2))^2 and -2 log p; other
+    d start from a per-degree table in log(-log p) and take one Newton step on
+    the incomplete gamma function. p = 1 maps to 0.
     """
     if d == 1.0:
         return ndtri(0.5 * p) ** 2
     if d == 2.0:
         return -2.0 * np.log(p) + 0.0  # + 0.0: T = 0, not -0, at p = 1
-    return 2.0 * gammainccinv(d / 2.0, p)
+    if d < 0.125:  # T underflows near p = 1, below the table's reach
+        return 2.0 * gammainccinv(d / 2.0, p)
+    p = np.asarray(p, dtype=float)
+    flat = p.ravel()
+    t = np.where(flat < 1.0, 2.0 * _gamma_isf(d / 2.0, flat), 0.0)
+    return t.reshape(p.shape)[()]
 
 
 def chisq_inv_sf(p, d: float):

@@ -182,16 +182,16 @@ def _chernoff_tail(lams: np.ndarray, t: float) -> float:
 def _lattice_survival(lams: np.ndarray, x: float, acc: float) -> CdfOutcome:
     """P(Q > x) by a midpoint lattice sum over the characteristic function.
 
-    The step is chosen so the aliasing mass (bounded by a Chernoff tail) is
-    within budget; the number of terms so the Dirichlet-test bound on the
-    truncated oscillatory tail is within budget.
+    The step is chosen so the aliasing mass (bounded by a Chernoff tail and
+    reported three times over) is at most acc / 6; the number of terms so the
+    Dirichlet-test bound on the truncated oscillatory tail takes the rest of
+    acc, which keeps the reported bound within acc whenever both searches stop.
     """
-    budget = acc / 3.0
-    # step from the aliasing bound: 2 pi / step - x must carry < budget mass
+    # step from the aliasing bound: 2 pi / step - x must carry < acc / 6 mass
     t_hi = x + float(lams.sum()) + 4.0 * float(np.sqrt(2.0 * np.sum(lams**2)))
     for _ in range(200):
         alias_bound = _chernoff_tail(lams, t_hi)
-        if alias_bound <= budget:
+        if alias_bound <= acc / 6.0:
             break
         t_hi *= 1.4
     delta = 2.0 * np.pi / (x + t_hi)
@@ -209,6 +209,7 @@ def _lattice_survival(lams: np.ndarray, x: float, acc: float) -> CdfOutcome:
         a0 = np.exp(-0.25 * float(np.sum(np.log1p(4.0 * lams**2 * u0 * u0)))) / (np.pi * (k0 + 0.5))
         return a0 / np.sin(0.5 * eff)
 
+    budget = acc - 3.0 * alias_bound
     n_terms = 64
     while n_terms < MAX_LATTICE_TERMS and trunc_bound(n_terms) > budget:
         n_terms *= 2

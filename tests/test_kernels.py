@@ -1,5 +1,7 @@
 """Special functions, Hermite polynomials, and the Gaussian-weight quadrature rule."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import ndtr
@@ -68,6 +70,82 @@ class TestChiSquare:
             kernels.chisq_inv_sf(0.5, -1.0)
         with pytest.raises(ValueError):
             kernels.chisq_inv_sf(0.5, 0.0)
+
+
+class TestGeneralDegreeMap:
+    """T = F_d^{-1}(1 - p) for d other than 1 and 2: a start from a per-degree table, one Newton step."""
+
+    P = (1e-320, 1e-300, 1e-100, 1e-12, 1e-3, 0.3, 0.5, 0.9, 1.0 - 2.0**-52, 1.0 - 2.0**-53)
+    # T at each p of P, by 50-digit mpmath Newton on the regularized incomplete
+    # gamma function at the exact double p (mpmath is not a dependency)
+    ORACLE = {
+        0.5: (
+            1461.1856030629888, 1369.1795943036543, 449.8108244902125, 47.86375393011639,
+            8.752888515773375, 0.37469645674039437, 0.08734760470574682, 0.0001350012477126792,
+            3.2815213367016763e-63, 2.0509508354385477e-64,
+        ),
+        3.0: (
+            1480.5043867121371, 1388.3367738546858, 466.2143575712914, 58.919755683202155,
+            16.266236196238133, 3.6648707831703176, 2.365973884375338, 0.5843743741551831,
+            8.86640596652811e-11, 5.585485757034481e-11,
+        ),
+        3.5: (
+            1483.7390643345445, 1391.5395402137833, 468.8779952398014, 60.59598880312847,
+            17.389858670332334, 4.275829514749905, 2.8605894030665504, 0.8137784378134473,
+            2.9790095844836496e-09, 2.004724786449967e-09,
+        ),
+        8.0: (
+            1509.838581024385, 1417.356418628198, 489.9651634526147, 73.4660190661635,
+            26.124481558376143, 9.524458193071833, 7.344121497701792, 3.4895391256498223,
+            0.0005404012335324232, 0.00045441755284231846,
+        ),
+        30.0: (
+            1610.6621662188195, 1516.8812320054697, 568.42757044912, 120.05203472501219,
+            59.70306430442993, 33.53023292655934, 29.336031516661585, 20.599234614585345,
+            1.2066570392357692, 1.150137677607397,
+        ),
+        200.0: (
+            2136.3768268819385, 2034.6208577094278, 966.4390604451238, 374.4959107271329,
+            267.5405278227572, 209.98541535773035, 199.33372983863097, 174.8352729991873,
+            77.81720637410473, 76.95092780684202,
+        ),
+    }
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        kernels._isf_table.cache_clear()
+
+    def test_matches_oracle(self):
+        for d, expected in self.ORACLE.items():
+            got = kernels.chisq_inv_sf(np.array(self.P), d)
+            np.testing.assert_allclose(got, expected, rtol=2e-14, atol=0.0, err_msg=f"d = {d}")
+
+    @pytest.mark.parametrize("d", [0.5, 3.0, 3.5, 8.0, 30.0, 200.0])
+    def test_non_increasing_across_nodes_and_branches(self, d):
+        # 16 points per table step in log(-log p) crosses every node, and the
+        # linear stretch crosses the switch of Newton residual at p = 1/2
+        y = np.arange(np.log(2.0**-53), np.log(744.0), 1.0 / 256)
+        p = np.sort(np.concatenate([np.exp(-np.exp(y)), np.linspace(0.49, 0.51, 4001)]))
+        t = kernels.chisq_inv_sf(p, d)
+        assert np.all(np.diff(t) <= 0.0)
+
+    def test_p_one_is_positive_zero(self):
+        for d in (0.5, 3.5, 8.0):
+            t = kernels.chisq_inv_sf(np.array([0.5, 1.0]), d)
+            assert t[1] == 0.0 and not np.signbit(t[1])
+
+    def test_scalar_and_0d_input(self):
+        t = kernels.chisq_inv_sf(0.05, 3.0)
+        assert np.ndim(t) == 0 and t == pytest.approx(float(chi2.isf(0.05, 3.0)), rel=1e-14)
+        assert kernels.chisq_inv_sf(np.array(0.05), 3.0) == t
+        assert kernels.chisq_inv_sf(np.array([[0.05]]), 3.0).shape == (1, 1)
+
+    def test_no_runtime_warnings(self):
+        p = np.array([5e-324, 1e-320, 1e-300, 1e-30, 0.3, 0.5, 0.9, 1.0 - 2.0**-53, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for d in (0.5, 3.0, 3.5, 8.0, 30.0, 200.0):
+                assert np.all(np.isfinite(kernels.chisq_inv_sf(p, d)))
 
 
 class TestGamma:

@@ -443,6 +443,22 @@ class TestPvalueQ:
         assert res.diagnostics["qf_method"] == "davies"
         assert abs(res.pvalue - float(chi2.sf(1e-4, 1))) <= res.diagnostics["qf_error_bound"]
 
+    def test_budget_split_certifies_acc(self):
+        # eigenvalues (3, 0.5, 0.5, 0.5, 0.5): the aliasing bound takes at most
+        # acc / 6 and the truncated tail the rest, so the reported bound
+        # 3 * alias + tail stays within acc (it reached 1.13e-9 with acc / 3 each)
+        g, s = GFisherDef(degrees=np.ones(5)), dependence.gen_structure("equal", "III", 5, 0.5).values
+        spec = eigen_spec(g, build_m(g, s, dependence.cov_matrix(g, s)))
+        np.testing.assert_allclose(np.sort(spec.lambdas), [0.5, 0.5, 0.5, 0.5, 3.0], rtol=1e-12)
+        res = fit_null(g, s, "q").pvalue(31.25)
+        assert res.diagnostics["qf_converged"] and res.diagnostics["qf_error_bound"] <= 1e-9
+
+        def f(v):  # 3 X1 + 0.5 Y with X1 ~ chi2_1, Y ~ chi2_4, in v = sqrt(X1)
+            return 2.0 * norm.pdf(v) * chi2.cdf((31.25 - 3.0 * v * v) / 0.5, 4)
+
+        cdf, _ = quad(f, 0.0, np.sqrt(31.25 / 3.0), epsabs=1e-15, epsrel=1e-13)
+        assert abs(res.pvalue - (1.0 - cdf)) <= res.diagnostics["qf_error_bound"]
+
     def test_d1_exactness_any_sigma(self):
         # with all d = 1 the surrogate equals the statistic itself: its
         # spectrum is that of the weighted input correlation matrix

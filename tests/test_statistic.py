@@ -117,11 +117,12 @@ class TestTransform:
             assert np.all(np.diff(t) < 0)
 
     def test_matches_generic_inverse(self):
-        # fast paths for d = 1, 2 agree with the incomplete-gamma inverse
+        # the closed forms for d = 1, 2 and the table-plus-Newton map for other
+        # d agree with the incomplete-gamma inverse
         from scipy.special import gammainccinv
 
         p = np.array([1e-12, 1e-6, 0.01, 0.3, 0.9, 1.0 - 1e-12])
-        for d in (1.0, 2.0):
+        for d in (1.0, 2.0, 3.5, 8.0):
             g = GFisherDef(degrees=[d] * p.size)
             got = transform(g, p)
             ref = 2.0 * gammainccinv(d / 2.0, p)

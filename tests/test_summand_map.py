@@ -76,8 +76,8 @@ ORACLE_COEFFS = {
 # the grid's own I(k), k = 1..8 (two-sided: k = 2, 4, 6, 8), frozen bit for bit
 FROZEN_COEFFS = {
     ("one", 0.5): (
-        0.7366522684761352, 0.8672576262500575, 0.6864051526900737, 0.10833403759538407,
-        -0.4805175161426197, -0.2077953743957721, 1.0286618771937122, 0.651023967221192,
+        0.7366522684761352, 0.8672576262500574, 0.6864051526900736, 0.10833403759538418,
+        -0.4805175161426192, -0.20779537439576945, 1.028661877193714, 0.6510239672211798,
     ),
     ("one", 1.0): (
         1.1772396063328623, 1.0586752319093282, 0.5622517997079298, -0.0730060851722128,
@@ -88,19 +88,19 @@ FROZEN_COEFFS = {
         -0.0901001885798558, 0.14482547710483096, 0.011167479926136537, -0.2694937977671188,
     ),
     ("one", 3.0): (
-        2.2833776754478667, 1.2401636252435484, 0.3172626296614707, -0.09674703643620175,
-        -0.03152111257351553, 0.07960481447000278, -0.035324315596628963, -0.0795167700824404,
+        2.283377675447867, 1.240163625243548, 0.31726262966147056, -0.09674703643620186,
+        -0.03152111257351242, 0.079604814470001, -0.03532431559663962, -0.07951677008243507,
     ),
     ("one", 3.5): (
-        2.48981081570233, 1.2542116649453026, 0.2897190991093671, -0.08774107726094404,
-        -0.019177108257051323, 0.05986114733058745, -0.034426667637559305, -0.0428147155573555,
+        2.4898108157023304, 1.2542116649453026, 0.28971909910936744, -0.08774107726094438,
+        -0.01917710825705221, 0.05986114733058745, -0.034426667637545094, -0.04281471555733951,
     ),
     ("one", 8.0): (
-        3.8921692847839937, 1.3004474968718978, 0.17927808390418853, -0.04367318887879268,
-        0.0016151903867118733, 0.009733066506243837, -0.008494413582560867, 0.0017769652643764289,
+        3.8921692847839937, 1.3004474968718978, 0.17927808390418853, -0.0436731888787929,
+        0.0016151903867118733, 0.009733066506246502, -0.008494413582567972, 0.0017769652643657707,
     ),
     ("two", 0.5): (
-        1.391487294483454, 0.7504036643168492, -1.993032874934477, 8.352336745896627,
+        1.3914872944834542, 0.7504036643168486, -1.9930328749344801, 8.352336745896647,
     ),
     ("two", 1.0): (
         2.0000000000000004, -7.224859014111208e-17, -7.797775165748949e-16, 5.355383038078729e-15,
@@ -109,44 +109,44 @@ FROZEN_COEFFS = {
         2.7952809849588394, -1.1021752368387272, 3.534330461765508, -18.139881665389627,
     ),
     ("two", 3.0): (
-        3.3746652780679938, -1.9260122795110386, 6.3269956403183585, -33.230159038591836,
+        3.3746652780679938, -1.9260122795110386, 6.326995640318353, -33.23015903859179,
     ),
     ("two", 3.5): (
-        3.622479294120948, -2.279237563586507, 7.542189167611873, -39.88353751541511,
+        3.6224792941209483, -2.279237563586507, 7.542189167611878, -39.88353751541513,
     ),
     ("two", 8.0): (
-        5.287321969195023, -4.644139235480905, 15.800884419182513, -85.68265619187332,
+        5.287321969195022, -4.644139235480903, 15.800884419182507, -85.68265619187332,
     ),
 }
 # E[T(d1) T(d2)] for d1 <= d2, frozen bit for bit
 FROZEN_PRODUCT_MOMENTS = {
-    ("one", 0.5, 0.5): 1.2500000000000004,
-    ("one", 0.5, 1.0): 1.8914872944834547,
+    ("one", 0.5, 0.5): 1.2500000000000002,
+    ("one", 0.5, 1.0): 1.8914872944834542,
     ("one", 0.5, 2.0): 2.89287726204501,
     ("one", 0.5, 3.0): 3.755777387070066,
     ("one", 0.5, 3.5): 4.160785778611556,
-    ("one", 0.5, 8.0): 7.451388236090192,
+    ("one", 0.5, 8.0): 7.4513882360901915,
     ("one", 1.0, 1.0): 3.000000000000001,
     ("one", 1.0, 2.0): 4.79528098495884,
-    ("one", 1.0, 3.0): 6.374665278067994,
+    ("one", 1.0, 3.0): 6.3746652780679955,
     ("one", 1.0, 3.5): 7.122479294120948,
     ("one", 1.0, 8.0): 13.287321969195023,
     ("one", 2.0, 2.0): 8.0,
     ("one", 2.0, 3.0): 10.885044124993932,
-    ("one", 2.0, 3.5): 12.264416481849047,
-    ("one", 2.0, 8.0): 23.81756170236426,
-    ("one", 3.0, 3.0): 15.0,
+    ("one", 2.0, 3.5): 12.264416481849048,
+    ("one", 2.0, 8.0): 23.817561702364262,
+    ("one", 3.0, 3.0): 15.000000000000004,
     ("one", 3.0, 3.5): 16.9785775060761,
     ("one", 3.0, 8.0): 33.703332763354084,
     ("one", 3.5, 3.5): 19.25,
     ("one", 3.5, 8.0): 38.51510037887121,
-    ("one", 8.0, 8.0): 80.00000000000001,
+    ("one", 8.0, 8.0): 80.0,
     ("two", 0.5, 0.5): 1.2500000000000009,
-    ("two", 0.5, 1.0): 1.8914872944834547,
-    ("two", 0.5, 2.0): 2.89287726204501,
+    ("two", 0.5, 1.0): 1.891487294483455,
+    ("two", 0.5, 2.0): 2.892877262045011,
     ("two", 0.5, 3.0): 3.755777387070067,
-    ("two", 0.5, 3.5): 4.160785778611556,
-    ("two", 0.5, 8.0): 7.451388236090192,
+    ("two", 0.5, 3.5): 4.160785778611558,
+    ("two", 0.5, 8.0): 7.451388236090193,
     ("two", 1.0, 1.0): 3.000000000000001,
     ("two", 1.0, 2.0): 4.79528098495884,
     ("two", 1.0, 3.0): 6.3746652780679955,
@@ -155,11 +155,11 @@ FROZEN_PRODUCT_MOMENTS = {
     ("two", 2.0, 2.0): 8.000000000000004,
     ("two", 2.0, 3.0): 10.885044124993932,
     ("two", 2.0, 3.5): 12.26441648184905,
-    ("two", 2.0, 8.0): 23.817561702364262,
-    ("two", 3.0, 3.0): 15.000000000000004,
+    ("two", 2.0, 8.0): 23.817561702364266,
+    ("two", 3.0, 3.0): 15.000000000000005,
     ("two", 3.0, 3.5): 16.9785775060761,
-    ("two", 3.0, 8.0): 33.70333276335409,
-    ("two", 3.5, 3.5): 19.25,
+    ("two", 3.0, 8.0): 33.703332763354084,
+    ("two", 3.5, 3.5): 19.250000000000004,
     ("two", 3.5, 8.0): 38.51510037887121,
     ("two", 8.0, 8.0): 80.00000000000001,
 }
@@ -222,8 +222,8 @@ def test_coefficients_match_oracle(cold, side):
 
 
 def test_p_to_one_floor_warns(cold):
-    # one-sided d = 8: T on the mirrored half (p -> 1) carries the error of
-    # gammainccinv near 1, 1e-11 to 6e-10 at k = 10..12; the halving estimate
+    # one-sided d = 8: T on the mirrored half (p -> 1) carries the rounding of
+    # p = 1 - Phi(z) near 1, 1e-11 to 6e-10 at k = 10..12; the halving estimate
     # flags k = 11 and 12 (k = 10 misses 1e-11 by 4% and reads 7e-12)
     assert abs(hermite_coeff(8.0, 10, "one") - _oracle("one", 8.0, 10)) <= 2e-11
     for k in (11, 12):
