@@ -9,7 +9,7 @@ ggd234, ggdmr). Omnibus tests over several weighting schemes are provided via
 the minimum p-value and the Cauchy combination.
 """
 
-from .dependence import CorrMatrix, cov_matrix, cov_summands, cross_cov, gen_structure, var_T
+from .dependence import CorrMatrix, cov_matrix, cov_summands, gen_structure
 from .harness import SimConfig, empirical_moments, empirical_tie, inflation_factor, survival_compare
 from .methods import METHODS, compute_pvalue, fit_null
 from .omnibus import build_panel, component_pvalues, omnibus_pvalues, pvalue_cc
@@ -43,7 +43,6 @@ __all__ = [
     "compute_pvalue",
     "cov_matrix",
     "cov_summands",
-    "cross_cov",
     "empirical_moments",
     "empirical_tie",
     "evaluate",
@@ -59,5 +58,4 @@ __all__ = [
     "survival_compare",
     "to_pvalues",
     "transform",
-    "var_T",
 ]

@@ -97,7 +97,7 @@ def _resolve_moments(args, gdef, sigma):
     config = harness.SimConfig(
         sigma=sigma, nreps=max(args.reps or 100_000, 100), seed=args.seed, side=gdef.side
     )
-    return harness._auto_moments(gdef, config, args.method, None, config.nreps)
+    return harness._auto_moments(gdef, config, [args.method], None, config.nreps)
 
 
 def _manifest(args, command: str) -> dict:
@@ -162,7 +162,7 @@ def _cmd_omnibus(args) -> int:
     moment_list = None
     if any(t in methods._NEEDS_MOMENTS for t in tags):  # SimConfig factors sigma: build it only when used
         config = harness.SimConfig(sigma=sigma, nreps=max(args.reps or 100_000, 100), seed=args.seed, side=defs[0].side)
-        moment_list = [harness._auto_moments(g, config, t, None, config.nreps) for g, t in zip(defs, tags)]
+        moment_list = [harness._auto_moments(g, config, [t], None, config.nreps) for g, t in zip(defs, tags)]
     else:
         _reject_unused_reps(args, f"component methods {sorted(set(tags))}")
     panel = omnibus.build_panel(
@@ -210,7 +210,7 @@ def _cmd_simulate_tie(args) -> int:
     alphas = [float(a) for a in args.alphas.split(",")]
     if args.defs:
         defs = _read_defs(args.defs, args.side)
-        moment_list = [harness._auto_moments(g, config, args.component_method, None, 100_000) for g in defs]
+        moment_list = [harness._auto_moments(g, config, [args.component_method], None, 100_000) for g in defs]
         panel = omnibus.build_panel(
             defs, config.sigma, method=args.component_method, kstar=args.kstar, moments=moment_list
         )

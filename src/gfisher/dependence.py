@@ -9,7 +9,7 @@ come from one evaluation of its transform on a fixed quadrature grid.
 
 One pass (``cov_series``) serves every definition sharing a sigma: each order
 raises sigma to the k-th power once for the covariance matrices, the
-truncation diagnostic and the omnibus cross covariance. Odd orders, whose
+truncation diagnostics and, when asked, the omnibus cross covariance. Odd orders, whose
 coefficients are exact zeros for two-sided input, are skipped there.
 
 Also provides the block correlation-structure generators used by the
@@ -36,12 +36,10 @@ __all__ = [
     "cov_matrix",
     "cov_series",
     "cov_summands",
-    "cross_cov",
     "gen_structure",
     "hermite_coeff",
     "nearest_correlation",
     "transform_product_moment",
-    "var_T",
 ]
 
 DEFAULT_KSTAR = 8
@@ -155,16 +153,17 @@ def cov_summands(
 
 
 # per definition, the summand covariance matrix and the truncation diagnostic;
-# the statistics' cross covariance (None where a pass was not asked for them)
+# the statistics' cross covariance (None where the pass was not asked for it)
 CovSeries = namedtuple("CovSeries", ["covs", "last_terms", "omega"])
 
 
-def cov_series(defs, sigma, kstar: int = DEFAULT_KSTAR, *, full, cross=False) -> CovSeries:
+def cov_series(defs, sigma, kstar: int = DEFAULT_KSTAR, *, cross=False) -> CovSeries:
     """One pass over the orders k = 1..kstar for definitions sharing one sigma.
 
-    ``full[l]`` asks for the covariance matrix of ``defs[l]``, ``cross`` for
-    the cross covariance; every definition gets its last term, and only
-    k = kstar is visited when nothing else is wanted.
+    Every definition gets its covariance matrix and the largest term of order
+    kstar; ``cross`` asks for the cross covariance of the statistics as well.
+    Same-index contributions to it (sigma_ii = 1) use the exact product-moment
+    quadrature, cross-index contributions the truncated series.
     """
     defs = list(defs)
     if not defs:
@@ -177,33 +176,29 @@ def cov_series(defs, sigma, kstar: int = DEFAULT_KSTAR, *, full, cross=False) ->
         raise ValueError(f"correlation matrix must be {n}x{n}, got {s.shape}")
     coeffs = _coeff_table(defs, side, kstar)
 
-    covs = [np.zeros((n, n)) if f else None for f in full]
+    covs = [np.zeros((n, n)) for _ in defs]
     last_terms = [0.0] * m
     omega = np.zeros((m, m)) if cross else None
     vs = np.empty((m, n))
     fact = 1.0
     for k in range(1, kstar + 1):
         fact *= k
-        if (side == "two" and k % 2 == 1) or (k < kstar and not (cross or any(full))):
+        if side == "two" and k % 2 == 1:
             continue
         sk = s**k
         np.fill_diagonal(sk, 0.0)  # every consumer treats sigma_ii = 1 exactly
         for l, (g, cov) in enumerate(zip(defs, covs)):
             v = coeffs[l][k - 1]
             vs[l] = g.weights * v
-            if cov is None and k < kstar:
-                continue
             vv = np.outer(v, v)
-            if cov is not None:
-                cov += sk * vv / fact
+            cov += sk * vv / fact
             if k == kstar:
-                last_terms[l] = float((np.abs(sk) * np.abs(vv) / np.exp(lgamma(kstar + 1))).max())
+                last_terms[l] = float(np.abs(sk * vv).max() / np.exp(lgamma(kstar + 1)))
         if cross:
             omega += vs @ sk @ vs.T / fact
 
     for g, cov in zip(defs, covs):
-        if cov is not None:
-            np.fill_diagonal(cov, 2.0 * g.degrees)
+        np.fill_diagonal(cov, 2.0 * g.degrees)
     same: dict = {}  # exact same-index covariance, once per distinct degree pair
     for l in range(m if cross else 0):
         for r in range(l, m):
@@ -225,21 +220,7 @@ def cov_matrix(gdef: GFisherDef, sigma, kstar: int = DEFAULT_KSTAR) -> np.ndarra
     converges slowly for two-sided inputs, and exactness on the diagonal is
     what makes the independence case exact downstream).
     """
-    return cov_series([gdef], sigma, kstar, full=[True]).covs[0]
-
-
-def var_T(gdef: GFisherDef, sigma, kstar: int = DEFAULT_KSTAR) -> float:
-    """Null variance of the statistic: w' Cov(T) w."""
-    return float(gdef.weights @ cov_matrix(gdef, sigma, kstar) @ gdef.weights)
-
-
-def cross_cov(defs: list[GFisherDef], sigma, kstar: int = DEFAULT_KSTAR) -> np.ndarray:
-    """m x m covariance matrix across statistics sharing one input panel.
-
-    Same-index contributions (sigma_ii = 1) use the exact product-moment
-    quadrature; cross-index contributions use the truncated series.
-    """
-    return cov_series(defs, sigma, kstar, full=[False] * len(defs), cross=True).omega
+    return cov_series([gdef], sigma, kstar).covs[0]
 
 
 # ---------------------------------------------------------------------------

@@ -222,9 +222,10 @@ def _config_echo(config: SimConfig, extra: dict | None = None) -> dict:
 
 
 def _auto_moments(
-    gdef: GFisherDef, config: SimConfig, method: str, moments, moments_nreps: int
+    gdef: GFisherDef, config: SimConfig, method_names: Sequence[str], moments, moments_nreps: int
 ) -> MomentSummary | None:
-    if moments is not None or method not in methods._NEEDS_MOMENTS:
+    """The given moments, or one simulated summary when some method in ``method_names`` needs it."""
+    if moments is not None or not any(name in methods._NEEDS_MOMENTS for name in method_names):
         return moments
     return empirical_moments(gdef, config, moments_nreps)
 
@@ -264,7 +265,7 @@ def empirical_tie(
         gdef: GFisherDef = target
         if gdef.side != config.side:
             raise ValueError("definition and simulation config disagree on sidedness")
-        mom = _auto_moments(gdef, config, method, moments, moments_nreps)
+        mom = _auto_moments(gdef, config, [method], moments, moments_nreps)
         null = methods.fit_null(gdef, config.sigma, method, kstar=kstar, moments=mom)
 
         def count_batch(z: np.ndarray) -> tuple[np.ndarray, int]:
@@ -401,9 +402,10 @@ def survival_compare(
         draws[pos : pos + size] = evaluate(gdef, z_to_pvalues(config.draw(b, size), config.side))
         pos += size
     t_q = np.quantile(draws, q_grid)
+    auto = _auto_moments(gdef, config, method_names, moments, moments_nreps)
     table: dict[str, np.ndarray] = {}
     for name in method_names:
-        mom = _auto_moments(gdef, config, name, moments, moments_nreps)
+        mom = auto if name in methods._NEEDS_MOMENTS else moments
         null = methods.fit_null(gdef, config.sigma, name, kstar=kstar, moments=mom)
         p = np.clip(np.asarray(null.survival(t_q)), PROB_CLAMP_LO, 1.0)
         table[name] = -np.log10(p)

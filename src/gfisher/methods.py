@@ -54,18 +54,14 @@ class NullApprox:
 
 def _gamma_survival(shape: float, mu: float, sd: float) -> Callable[[np.ndarray], np.ndarray]:
     def surv(t: np.ndarray) -> np.ndarray:
-        arg = (np.asarray(t, dtype=float) - mu) / sd * np.sqrt(shape) + shape
-        out = np.ones_like(arg, dtype=float)
-        pos = arg > 0.0
-        if np.any(pos):
-            out[pos] = gamma_sf(arg[pos], shape)
-        return out
+        # gamma_sf is exactly 1 at a nonpositive argument and NaN at a NaN one
+        return gamma_sf((np.asarray(t, dtype=float) - mu) / sd * np.sqrt(shape) + shape, shape)
 
     return surv
 
 
-def _check(gdef: GFisherDef, method: str, moments: MomentSummary | None) -> tuple[str, bool]:
-    """The lowercased method, and whether fitting it reads the summand covariance matrix."""
+def _check(gdef: GFisherDef, method: str, moments: MomentSummary | None) -> str:
+    """The lowercased method, after checking that it can be fitted for this definition."""
     method = method.lower()
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -76,7 +72,7 @@ def _check(gdef: GFisherDef, method: str, moments: MomentSummary | None) -> tupl
             f"method {method!r} needs a MomentSummary with {_NEEDS_MOMENTS[method]} "
             "(e.g. from harness.empirical_moments or qform.hybrid_moments)"
         )
-    return method, method in ("q", "hyb") or (method == "gb" and moments is None)
+    return method
 
 
 def fit_null(
@@ -95,34 +91,32 @@ def fit_null(
     q and hyb methods are restricted to two-sided inputs with integer
     degrees of freedom.
     """
-    method, needs_cov = _check(gdef, method, moments)
-    cov = dependence.cov_matrix(gdef, sigma, kstar) if needs_cov else None
-    return _fit(gdef, sigma, method, cov, kstar, moments, qf_acc)
+    method = _check(gdef, method, moments)
+    covs, last_terms, _ = dependence.cov_series([gdef], sigma, kstar)
+    return _fit(gdef, sigma, method, covs[0], last_terms[0], kstar, moments, qf_acc)
 
 
-def _fit(gdef, sigma, method: str, cov, kstar: int, moments, qf_acc: float) -> NullApprox:
-    """Fit a checked method on the summand covariance matrix of the caller's series pass."""
-    diag: dict = {"kstar": kstar}
+def _fit(gdef, sigma, method: str, cov, last_term: float, kstar: int, moments, qf_acc: float) -> NullApprox:
+    """Fit a checked method on the summand covariance matrix of the caller's series pass.
 
-    if method == "gb":
-        m = moments or MomentSummary(
-            mu=gdef.mean, var=float(gdef.weights @ cov @ gdef.weights), source="analytic"
-        )
-        sur = surrogates.fit_gb(m)
-        diag.update({"shape": sur.shape, "moment_source": m.source})
-        return NullApprox(method, gdef, _gamma_survival(sur.shape, m.mu, m.sd), diag)
-
-    if method == "mr":
-        m = moments
-        sur = surrogates.fit_mr(m)
-        diag.update(
-            {"shape": sur.shape, "moment_source": m.source, "mr_fallback_gb": sur.degenerate_fallback}
-        )
-        return NullApprox(method, gdef, _gamma_survival(sur.shape, m.mu, m.sd), diag)
-
+    q and hyb first reduce the surrogate correlation M to its spectrum; gb, mr
+    and hyb then price a gamma fitted to a ``MomentSummary``, and the ggd
+    variants a generalized gamma.
+    """
+    diag: dict = {"kstar": kstar, "cov_last_term": last_term}
     if method in ("q", "hyb"):
-        spec = qform.eigen_spec(gdef, qform.build_m(gdef, sigma, cov))
-        diag.update(qform.spec_diagnostics(spec, gdef))
+        sc = qform.build_m(gdef, sigma, cov)
+        spec = qform.eigen_spec(gdef, sc)
+        diag.update(
+            {
+                "m_clamp_count": sc.clamp_count,
+                "m_repaired": sc.repair_applied,
+                "eigen_count": int(spec.lambdas.size),
+                "trace": spec.trace,
+                "trace_target": gdef.mean,
+                "dropped_eigen_mass": spec.dropped_mass,
+            }
+        )
 
     if method == "q":
         diag["qf_acc"] = qf_acc
@@ -135,10 +129,18 @@ def _fit(gdef, sigma, method: str, cov, kstar: int, moments, qf_acc: float) -> N
 
         return NullApprox(method, gdef, surv, diag, inversion)
 
-    if method == "hyb":
-        diag["shape"] = shape = qform.hybrid_shape(spec)
-        sd = float(np.sqrt(gdef.weights @ cov @ gdef.weights))
-        return NullApprox(method, gdef, _gamma_survival(shape, gdef.mean, sd), diag)
+    if method in ("gb", "mr", "hyb"):
+        var = float(gdef.weights @ cov @ gdef.weights)  # the series variance
+        if method == "hyb":  # mr on the surrogate's skewness and kurtosis, with the exact mean
+            q = qform.hybrid_moments(spec)
+            m = MomentSummary(gdef.mean, var, q.skew, q.exkurt, source="qsurrogate")
+        else:
+            m = moments or MomentSummary(gdef.mean, var)
+        sur = surrogates.fit_gb(m) if method == "gb" else surrogates.fit_mr(m)
+        diag.update({"shape": sur.shape, "moment_source": m.source})
+        if method != "gb":
+            diag["mr_fallback_gb"] = sur.degenerate_fallback
+        return NullApprox(method, gdef, _gamma_survival(sur.shape, m.mu, m.sd), diag)
 
     # generalized-gamma variants, by the names fit_ggd knows them
     variant = {"ggd123": "m123", "ggd234": "m234", "ggdmr": "mr"}[method]
@@ -171,14 +173,11 @@ def compute_pvalue(
     moments: MomentSummary | None = None,
     qf_acc: float = qform.DEFAULT_QF_ACC,
 ) -> PValueResult:
-    """One-shot p-value: inputs -> p-values -> statistic -> fitted survival."""
+    """One-shot p-value: inputs -> p-values -> statistic -> ``fit_null(...).pvalue``."""
     panel = values if isinstance(values, InputPanel) else InputPanel(values, kind=kind)
     pvals = to_pvalues(panel, gdef.side)
     n_clamped = int(np.count_nonzero(pvals < PROB_CLAMP_LO))  # the transform clamps these up
     t_obs = evaluate(gdef, pvals)
-    method, needs_cov = _check(gdef, method, moments)
-    series = dependence.cov_series([gdef], sigma, kstar, full=[needs_cov])
-    result = _fit(gdef, sigma, method, series.covs[0], kstar, moments, qf_acc).pvalue(t_obs)
+    result = fit_null(gdef, sigma, method, kstar=kstar, moments=moments, qf_acc=qf_acc).pvalue(t_obs)
     result.diagnostics["clamped_inputs"] = n_clamped
-    result.diagnostics["cov_last_term"] = series.last_terms[0]
     return result

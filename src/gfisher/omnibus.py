@@ -90,10 +90,11 @@ def build_panel(
     if len(moments) != m:
         raise ValueError("one moment summary (or None) per definition required")
 
-    checked, full = zip(*(methods._check(g, tag, mom) for g, tag, mom in zip(defs, tags, moments)))
-    covs, _, omega = dependence.cov_series(defs, sigma, kstar, full=full, cross=True)
+    checked = [methods._check(g, tag, mom) for g, tag, mom in zip(defs, tags, moments)]
+    covs, last_terms, omega = dependence.cov_series(defs, sigma, kstar, cross=True)
     fitted = [
-        methods._fit(g, sigma, tag, cov, kstar, mom, qf_acc) for g, tag, cov, mom in zip(defs, checked, covs, moments)
+        methods._fit(g, sigma, tag, cov, last, kstar, mom, qf_acc)
+        for g, tag, cov, last, mom in zip(defs, checked, covs, last_terms, moments)
     ]
     scale = 1.0 / np.sqrt(np.diag(omega))
     corr = omega * np.outer(scale, scale)

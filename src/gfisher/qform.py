@@ -26,9 +26,7 @@ __all__ = [
     "build_m",
     "eigen_spec",
     "hybrid_moments",
-    "hybrid_shape",
     "qform_sf",
-    "spec_diagnostics",
 ]
 
 M_CLAMP = 0.99  # surrogate correlations are capped below 1 to keep M usable
@@ -59,8 +57,6 @@ class QuadFormSpec:
 
     lambdas: np.ndarray
     trace: float
-    clamp_count: int = 0
-    repair_applied: bool = False
     dropped_mass: float = 0.0
 
     def __post_init__(self):
@@ -125,8 +121,6 @@ def eigen_spec(gdef: GFisherDef, sc: SurrogateCorr) -> QuadFormSpec:
     return QuadFormSpec(
         lambdas=np.sort(lam)[::-1],
         trace=float(lam.sum()),
-        clamp_count=sc.clamp_count,
-        repair_applied=sc.repair_applied,
         dropped_mass=dropped,
     )
 
@@ -256,17 +250,6 @@ def qform_sf(spec: QuadFormSpec | np.ndarray, x: float, acc: float = DEFAULT_QF_
 # ---------------------------------------------------------------------------
 
 
-def spec_diagnostics(spec: QuadFormSpec, gdef: GFisherDef) -> dict:
-    return {
-        "m_clamp_count": spec.clamp_count,
-        "m_repaired": spec.repair_applied,
-        "eigen_count": int(spec.lambdas.size),
-        "trace": spec.trace,
-        "trace_target": gdef.mean,
-        "dropped_eigen_mass": spec.dropped_mass,
-    }
-
-
 def hybrid_moments(spec: QuadFormSpec) -> MomentSummary:
     """Analytic moments of the quadratic form from its cumulants.
 
@@ -285,9 +268,3 @@ def hybrid_moments(spec: QuadFormSpec) -> MomentSummary:
         source="qsurrogate",
     )
 
-
-def hybrid_shape(spec: QuadFormSpec) -> float:
-    """Moment-ratio gamma shape from the spectrum: S2 S3^2 / (2 S4^2)."""
-    lam = spec.lambdas
-    s2, s3, s4 = (float(np.sum(lam**t)) for t in (2, 3, 4))
-    return s2 * s3**2 / (2.0 * s4**2)

@@ -42,14 +42,12 @@ class GFisherDef:
 
     Weights are rescaled at construction so their mean is 1; the p-value of
     the statistic is invariant to a positive rescaling of all weights, so this
-    only standardizes reported statistic values and moments. The original
-    weights are kept in ``weights_raw``.
+    only standardizes reported statistic values and moments.
     """
 
     degrees: np.ndarray
     weights: np.ndarray | None = None
     side: Side = "two"
-    weights_raw: np.ndarray = field(init=False)
 
     def __post_init__(self):
         d = np.atleast_1d(np.asarray(self.degrees, dtype=float))
@@ -69,7 +67,6 @@ class GFisherDef:
             raise ValueError("at least one weight must be positive")
         validate_side(self.side)
         self.degrees = d
-        self.weights_raw = w.copy()
         self.weights = w / w.mean()
 
     @property

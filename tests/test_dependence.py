@@ -10,15 +10,24 @@ from gfisher import dependence
 from gfisher.dependence import (
     CorrMatrix,
     cov_matrix,
+    cov_series,
     cov_summands,
-    cross_cov,
     gen_structure,
     hermite_coeff,
     nearest_correlation,
     transform_product_moment,
-    var_T,
 )
 from gfisher.statistic import GFisherDef
+
+
+def _var_t(g, sigma):
+    """Null variance of the statistic, w' Cov(T) w."""
+    return float(g.weights @ cov_matrix(g, sigma) @ g.weights)
+
+
+def _omega(defs, sigma):
+    """Cross covariance of the statistics."""
+    return cov_series(defs, sigma, cross=True).omega
 
 
 class TestHermiteCoeff:
@@ -148,33 +157,33 @@ class TestCovMatrix:
 class TestVarT:
     def test_fisher_independent(self):
         g = GFisherDef.fisher(10)
-        assert var_T(g, np.eye(10)) == pytest.approx(40.0, abs=1e-3)
+        assert _var_t(g, np.eye(10)) == pytest.approx(40.0, abs=1e-3)
 
     def test_two_sided_d1_pair(self):
         s = np.array([[1.0, 0.5], [0.5, 1.0]])
         g = GFisherDef(degrees=[1, 1], side="two")
         # 2 + 2 + 2 * Cov with Cov = 2 * 0.25
-        assert var_T(g, s) == pytest.approx(5.0, abs=1e-6)
+        assert _var_t(g, s) == pytest.approx(5.0, abs=1e-6)
 
     def test_single_active_weight(self):
         s = gen_structure("equal", "III", 3, 0.7).values
         g = GFisherDef(degrees=[2, 2, 2], weights=[1, 0, 0], side="two")
         # normalized weights are (3, 0, 0): Var = 9 * Var(chi2_2)
-        assert var_T(g, s) == pytest.approx(9.0 * 4.0, abs=1e-6)
+        assert _var_t(g, s) == pytest.approx(9.0 * 4.0, abs=1e-6)
 
 
 class TestCrossCov:
     def test_single_def_matches_var(self):
         s = gen_structure("equal", "III", 4, 0.5).values
         g = GFisherDef(degrees=[2, 2, 2, 2], side="two")
-        omega = cross_cov([g], s)
+        omega = _omega([g], s)
         assert omega.shape == (1, 1)
-        assert omega[0, 0] == pytest.approx(var_T(g, s), rel=1e-9)
+        assert omega[0, 0] == pytest.approx(_var_t(g, s), rel=1e-9)
 
     def test_identical_defs_rank_one(self):
         s = gen_structure("equal", "III", 4, 0.5).values
         g = GFisherDef(degrees=[1, 1, 1, 1], side="two")
-        omega = cross_cov([g, g], s)
+        omega = _omega([g, g], s)
         assert omega[0, 1] == pytest.approx(omega[0, 0], rel=1e-10)
         assert omega[1, 1] == pytest.approx(omega[0, 0], rel=1e-10)
 
@@ -182,7 +191,7 @@ class TestCrossCov:
         a = GFisherDef(degrees=[2, 2], side="two")
         b = GFisherDef(degrees=[2, 2], side="one")
         with pytest.raises(ValueError):
-            cross_cov([a, b], np.eye(2))
+            _omega([a, b], np.eye(2))
 
     def test_independent_inputs_monte_carlo(self):
         # defs d in {1, 2} on n = 2 under Sigma = I: the cross covariance is
@@ -191,7 +200,7 @@ class TestCrossCov:
             GFisherDef(degrees=[1, 1], side="two"),
             GFisherDef(degrees=[2, 2], side="two"),
         ]
-        omega = cross_cov(defs, np.eye(2))
+        omega = _omega(defs, np.eye(2))
         rng = np.random.default_rng(42)
         z = rng.standard_normal((1_000_000, 2))
         p = 2.0 * ndtr(-np.abs(z))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gfisher import dependence
+from gfisher import dependence, harness, methods
 from gfisher.harness import (
     SimConfig,
     empirical_moments,
@@ -11,6 +11,7 @@ from gfisher.harness import (
     inflation_factor,
     survival_compare,
 )
+from gfisher.kernels import PROB_CLAMP_LO
 from gfisher.statistic import GFisherDef, evaluate, z_to_pvalues
 
 
@@ -255,6 +256,28 @@ class TestSurvivalCompare:
         # mr and q stay within the Monte Carlo band down to p = 1e-4
         assert np.max(np.abs(gap("mr"))) <= 0.15
         assert np.max(np.abs(gap("q"))) <= 0.15
+
+
+    def test_moments_simulated_once(self, monkeypatch):
+        # Fisher at n = 10 under independence: every moment fit succeeds
+        g = GFisherDef.fisher(10)
+        config = SimConfig(sigma=np.eye(10), nreps=20_000, seed=15)
+        names = ["gb", "mr", "ggd123", "ggdmr"]
+        calls = []
+        inner = harness.empirical_moments
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "empirical_moments", counting)
+        table = survival_compare(g, names, config, moments_nreps=20_000)
+        assert len(calls) == 1
+        mom = inner(g, config, 20_000)
+        for name in names:
+            null = methods.fit_null(g, config.sigma, name, moments=None if name == "gb" else mom)
+            p = np.clip(np.asarray(null.survival(table.statistic_values)), PROB_CLAMP_LO, 1.0)
+            assert np.array_equal(table.method_neglog10[name], -np.log10(p)), name
 
 
 class TestInflationFactor:

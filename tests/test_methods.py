@@ -6,6 +6,7 @@ import pytest
 from gfisher import harness, methods, omnibus, qform
 from gfisher.dependence import gen_structure
 from gfisher.statistic import GFisherDef
+from gfisher.surrogates import MomentSummary
 
 SIGMA = gen_structure("equal", "III", 5, 0.5)
 Z = np.array([1.2, -0.4, 2.1, 0.3, -1.7])
@@ -59,6 +60,18 @@ class TestClampedInputs:
         g = GFisherDef.fisher(3)
         res = methods.compute_pvalue(g, np.eye(3), [1e-310, 1e-300, 1.0], kind="p", method="gb")
         assert res.diagnostics["clamped_inputs"] == 1
+
+
+class TestNanStatistic:
+    @pytest.mark.parametrize("method", methods.METHODS)
+    def test_nan_prices_as_nan(self, method):
+        # Fisher at n = 3 under independence is exactly chi2_6, whose moments every fit solves
+        g = GFisherDef.fisher(3)
+        m = MomentSummary(mu=6.0, var=12.0, skew=np.sqrt(8.0 / 6.0), exkurt=2.0)
+        null = methods.fit_null(g, np.eye(3), method, moments=m)
+        p = np.asarray(null.survival(np.array([np.nan, 0.0, 6.0])))
+        assert np.isnan(p[0])
+        assert np.all((p[1:] > 0.0) & (p[1:] <= 1.0))
 
 
 def cauchy_sf_scalar(x: float) -> float:

@@ -15,10 +15,10 @@ from gfisher.qform import (
     build_m,
     eigen_spec,
     hybrid_moments,
-    hybrid_shape,
     qform_sf,
 )
 from gfisher.statistic import GFisherDef
+from gfisher.surrogates import fit_mr
 
 
 def fisher_two_sided(n):
@@ -159,10 +159,12 @@ class TestEigenSpec:
         # no clamping/repair: 2 sum(lambda^2) equals the series variance
         s = dependence.gen_structure("equal", "III", 4, 0.5).values
         g = GFisherDef(degrees=[1, 2, 3, 2], weights=[0.5, 1.5, 1.0, 1.0], side="two")
-        spec = eigen_spec(g, build_m(g, s, dependence.cov_matrix(g, s, kstar=10)))
-        assert not spec.repair_applied and spec.clamp_count == 0
+        cov = dependence.cov_matrix(g, s, kstar=10)
+        sc = build_m(g, s, cov)
+        spec = eigen_spec(g, sc)
+        assert not sc.repair_applied and sc.clamp_count == 0
         var_q = 2.0 * float(np.sum(spec.lambdas**2))
-        assert var_q == pytest.approx(dependence.var_T(g, s, kstar=10), rel=1e-10)
+        assert var_q == pytest.approx(float(g.weights @ cov @ g.weights), rel=1e-10)
 
 
 class TestSurrogateDistribution:
@@ -415,13 +417,13 @@ class TestHybridShape:
         # 2n unit eigenvalues give shape n, the exact chi-square recovery
         for n in (1, 5, 10):
             spec = QuadFormSpec(lambdas=np.ones(2 * n), trace=2.0 * n)
-            assert hybrid_shape(spec) == pytest.approx(float(n), rel=1e-12)
+            assert fit_mr(hybrid_moments(spec)).shape == pytest.approx(float(n), rel=1e-12)
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 3.0])
     def test_scaled_equal_lambdas_reduce_to_half_count(self, c):
         for k in (2, 7, 12):
             spec = QuadFormSpec(lambdas=np.full(k, c), trace=c * k)
-            assert hybrid_shape(spec) == pytest.approx(k / 2.0, rel=1e-12)
+            assert fit_mr(hybrid_moments(spec)).shape == pytest.approx(k / 2.0, rel=1e-12)
 
 
 class TestPvalueQ:
@@ -509,7 +511,7 @@ class TestPvalueHyb:
                 s = dependence.gen_structure(kind, block, 10, par).values
                 if np.linalg.eigvalsh(s)[0] < -1e-10:
                     s = dependence.nearest_correlation(s)  # the simulated target
-                var = dependence.var_T(g, s)
+                var = float(g.weights @ dependence.cov_matrix(g, s) @ g.weights)
                 q, hyb = fit_null(g, s, "q"), fit_null(g, s, "hyb")
                 for z in (1.0, 3.0, 6.0, 10.0):
                     t = g.mean + z * np.sqrt(var)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from gfisher import dependence, methods, omnibus, qform
-from gfisher.dependence import cov_matrix, cov_series, cov_summands, cross_cov, gen_structure, var_T
+from gfisher.dependence import cov_matrix, cov_series, cov_summands, gen_structure
 from gfisher.statistic import GFisherDef
 from gfisher.kernels import gamma_sf
-from gfisher.surrogates import MomentSummary, fit_gb
+from gfisher.surrogates import MomentSummary, fit_gb, fit_mr
 
 CASES = {
     "equal_mixed": (
@@ -29,21 +29,32 @@ def case(request):
 
 
 def _last_term(g, sigma, kstar=dependence.DEFAULT_KSTAR):
-    # a pass that asks for no matrix visits only the order k = kstar
-    return cov_series([g], sigma, kstar, full=[False]).last_terms[0]
+    return cov_series([g], sigma, kstar).last_terms[0]
 
 
 def _pieces(g, sigma):
     cov = cov_matrix(g, sigma)
-    spec = qform.eigen_spec(g, qform.build_m(g, sigma, cov))
-    return spec, var_T(g, sigma), _last_term(g, sigma)
+    sc = qform.build_m(g, sigma, cov)
+    spec = qform.eigen_spec(g, sc)
+    return sc, spec, float(g.weights @ cov @ g.weights), _last_term(g, sigma)
+
+
+def _spectrum_diagnostics(sc, spec, g):
+    return {
+        "m_clamp_count": sc.clamp_count,
+        "m_repaired": sc.repair_applied,
+        "eigen_count": int(spec.lambdas.size),
+        "trace": spec.trace,
+        "trace_target": g.mean,
+        "dropped_eigen_mass": spec.dropped_mass,
+    }
 
 
 class TestComputePvalueMatchesPieces:
     def test_gb(self, case):
         sigma, g, z = case
         res = methods.compute_pvalue(g, sigma, z, method="gb")
-        _, var, last = _pieces(g, sigma)
+        _, _, var, last = _pieces(g, sigma)
         m = MomentSummary(mu=g.mean, var=var)
         assert res.pvalue == methods.fit_null(g, sigma, "gb", moments=m).pvalue(res.statistic).pvalue
         assert res.diagnostics["shape"] == fit_gb(m).shape
@@ -52,25 +63,25 @@ class TestComputePvalueMatchesPieces:
     def test_hyb(self, case):
         sigma, g, z = case
         res = methods.compute_pvalue(g, sigma, z, method="hyb")
-        spec, var, last = _pieces(g, sigma)
-        shape = qform.hybrid_shape(spec)
+        sc, spec, var, last = _pieces(g, sigma)
+        shape = fit_mr(qform.hybrid_moments(spec)).shape
         m = MomentSummary(mu=g.mean, var=var)
         # the standardized gamma survival at sqrt(a) z + a
         assert res.pvalue == float(gamma_sf((res.statistic - m.mu) / m.sd * np.sqrt(shape) + shape, shape))
         assert res.diagnostics["shape"] == shape
-        for key, val in qform.spec_diagnostics(spec, g).items():
+        for key, val in _spectrum_diagnostics(sc, spec, g).items():
             assert res.diagnostics[key] == val, key
         assert res.diagnostics["cov_last_term"] == last
 
     def test_q(self, case):
         sigma, g, z = case
         res = methods.compute_pvalue(g, sigma, z, method="q")
-        spec, _, last = _pieces(g, sigma)
+        sc, spec, _, last = _pieces(g, sigma)
         out = qform.qform_sf(spec, res.statistic)
         assert res.pvalue == out.value
         assert res.diagnostics["qf_error_bound"] == out.error_bound
         assert res.diagnostics["qf_method"] == out.method
-        for key, val in qform.spec_diagnostics(spec, g).items():
+        for key, val in _spectrum_diagnostics(sc, spec, g).items():
             assert res.diagnostics[key] == val, key
         assert res.diagnostics["cov_last_term"] == last
 
@@ -80,7 +91,7 @@ class TestPanelSeries:
         sigma, g, z = case
         defs = [GFisherDef(degrees=np.full(g.n, d), side="two") for d in (1, 2, 3)] + [g]
         panel = omnibus.build_panel(defs, sigma)
-        assert np.array_equal(panel.omega, cross_cov(defs, sigma))
+        assert np.array_equal(panel.omega, cov_series(defs, sigma, cross=True).omega)
         for gd, null in zip(defs, panel.fitted):
             t = 1.5 * gd.mean
             assert null.pvalue(t).pvalue == methods.fit_null(gd, sigma, "hyb").pvalue(t).pvalue
@@ -89,7 +100,7 @@ class TestPanelSeries:
         sigma = gen_structure("equal", "III", 5, 0.4)
         defs = [GFisherDef(degrees=np.full(5, d), side="one") for d in (1.0, 2.0, 3.5)]
         panel = omnibus.build_panel(defs, sigma, method="gb")
-        assert np.array_equal(panel.omega, cross_cov(defs, sigma))
+        assert np.array_equal(panel.omega, cov_series(defs, sigma, cross=True).omega)
 
 
 class TestOddOrdersSkipped:

@@ -18,7 +18,6 @@ class TestGFisherDef:
     def test_weight_normalization(self):
         g = GFisherDef(degrees=[1, 2, 3], weights=[1, 2, 3])
         np.testing.assert_allclose(g.weights, [0.5, 1.0, 1.5])
-        np.testing.assert_array_equal(g.weights_raw, [1, 2, 3])
 
     def test_default_weights(self):
         g = GFisherDef(degrees=[2, 2])

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gfisher import dependence, kernels
-from gfisher.dependence import cross_cov, hermite_coeff, transform_product_moment
+from gfisher.dependence import cov_series, hermite_coeff, transform_product_moment
 from gfisher.statistic import GFisherDef, transform
 
 # I(k), k = 1..12 one-sided and k = 2, 4, ..., 12 two-sided, from a 95-digit mpmath integration over T ~ chi2_d
@@ -273,9 +273,9 @@ def test_same_index_terms_once_per_degree_pair(monkeypatch):
         GFisherDef(degrees=[1.0, 2.0, 3.0] * 2, weights=np.arange(1.0, 7.0)),
     ]
     sigma = dependence.gen_structure("equal", "III", n, 0.4)
-    ref = cross_cov(defs, sigma)
+    ref = cov_series(defs, sigma, cross=True).omega
     calls = _counting(monkeypatch, dependence, "transform_product_moment")
-    omega = cross_cov(defs, sigma)
+    omega = cov_series(defs, sigma, cross=True).omega
     # (2,2) (2,1) (2,3) (1,1) (1,2) (1,3) (3,3), against one call per (l, r, i) = 36 before
     assert len(calls) == 7
     assert np.array_equal(omega, ref)
