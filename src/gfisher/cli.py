@@ -94,9 +94,7 @@ def _resolve_moments(args, gdef, sigma):
         _reject_unused_reps(args, "--moments qform")
         m = qform.build_m(gdef, sigma, dependence.cov_matrix(gdef, sigma, args.kstar))
         return qform.hybrid_moments(qform.eigen_spec(gdef, m))
-    config = harness.SimConfig(
-        sigma=sigma, nreps=max(args.reps or 100_000, 100), seed=args.seed, side=gdef.side
-    )
+    config = harness.SimConfig(sigma=sigma, nreps=max(args.reps or 100_000, 100), seed=args.seed)
     return harness._auto_moments(gdef, config, [args.method], None, config.nreps)
 
 
@@ -161,7 +159,7 @@ def _cmd_omnibus(args) -> int:
     tags = [args.method or omnibus._default_method(g.side) for g in defs]
     moment_list = None
     if any(t in methods._NEEDS_MOMENTS for t in tags):  # SimConfig factors sigma: build it only when used
-        config = harness.SimConfig(sigma=sigma, nreps=max(args.reps or 100_000, 100), seed=args.seed, side=defs[0].side)
+        config = harness.SimConfig(sigma=sigma, nreps=max(args.reps or 100_000, 100), seed=args.seed)
         moment_list = [harness._auto_moments(g, config, [t], None, config.nreps) for g, t in zip(defs, tags)]
     else:
         _reject_unused_reps(args, f"component methods {sorted(set(tags))}")
@@ -205,12 +203,12 @@ def _cmd_simulate_tie(args) -> int:
             seed=args.seed,
             model=args.model,
             df=args.df,
-            side=args.side or "two",
         )
     alphas = [float(a) for a in args.alphas.split(",")]
     if args.defs:
         defs = _read_defs(args.defs, args.side)
-        moment_list = [harness._auto_moments(g, config, [args.component_method], None, 100_000) for g in defs]
+        tags = [args.component_method or omnibus._default_method(g.side) for g in defs]
+        moment_list = [harness._auto_moments(g, config, [t], None, 100_000) for g, t in zip(defs, tags)]
         panel = omnibus.build_panel(
             defs, config.sigma, method=args.component_method, kstar=args.kstar, moments=moment_list
         )
@@ -234,14 +232,7 @@ def _cmd_simulate_tie(args) -> int:
 def _cmd_survival(args) -> int:
     gdef = _read_def(args.stat, args.side)
     sigma = _resolve_sigma(args, gdef.n)
-    config = harness.SimConfig(
-        sigma=sigma,
-        nreps=args.reps,
-        seed=args.seed,
-        model=args.model,
-        df=args.df,
-        side=gdef.side,
-    )
+    config = harness.SimConfig(sigma=sigma, nreps=args.reps, seed=args.seed, model=args.model, df=args.df)
     table = harness.survival_compare(
         gdef, args.methods.split(","), config, kstar=args.kstar
     )
@@ -285,10 +276,11 @@ def _add_sigma_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, help="dimension for --structure")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--side", choices=["one", "two"], help="input p-value sidedness")
+def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
+    p.add_argument("--side", choices=["one", "two"], help="input p-value sidedness (overrides the definition's)")
     p.add_argument("--kstar", type=int, default=dependence.DEFAULT_KSTAR)
-    p.add_argument("--seed", type=int, default=0)
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output path (stdout when omitted)")
 
 
@@ -328,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stat", required=True)
     _add_sigma_args(p)
     p.add_argument("--out-sigma", dest="out_sigma", help="also write the resolved correlation CSV")
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(handler=_cmd_cov)
 
     p = sub.add_parser("simulate-tie", help="empirical type-I-error ratios under the null")
@@ -366,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out-sigma", dest="out_sigma", help="write the estimated correlation CSV")
     p.add_argument("--out-z", dest="out_z", help="write the z panel CSV")
-    _add_common(p)
+    p.add_argument("--out", help="output path (stdout when omitted)")
     p.set_defaults(handler=_cmd_glm_z)
 
     return parser

@@ -168,6 +168,8 @@ def cov_series(defs, sigma, kstar: int = DEFAULT_KSTAR, *, cross=False) -> CovSe
     defs = list(defs)
     if not defs:
         raise ValueError("need at least one statistic definition")
+    if kstar < 1:
+        raise ValueError("kstar must be >= 1")
     n, side, m = defs[0].n, defs[0].side, len(defs)
     if any(g.n != n or g.side != side for g in defs):
         raise ValueError("all definitions must share the input dimension n and sidedness")

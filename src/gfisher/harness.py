@@ -33,10 +33,12 @@ __all__ = [
 
 @dataclass
 class SimConfig:
-    """Null-model simulation settings.
+    """Null-model simulation settings: the z-score law and the replicate stream.
 
-    A non-PSD correlation matrix is repaired once, up front, so the sampler
-    and every method fitted against this configuration see the same matrix.
+    Sidedness is not a setting here: it belongs to the statistic, and the
+    harness reads it from the definition or panel it simulates. A non-PSD
+    correlation matrix is repaired once, up front, so the sampler and every
+    method fitted against this configuration see the same matrix.
     """
 
     sigma: object
@@ -44,7 +46,6 @@ class SimConfig:
     seed: int = 0
     model: Literal["gmm", "mvt"] = "gmm"
     df: float = 10.0
-    side: Literal["one", "two"] = "two"
     batch_size: int = 100_000
     sigma_repaired: bool = field(init=False, default=False)
 
@@ -90,12 +91,15 @@ def sim_config_from_json(path) -> SimConfig:
 
     Keys: ``sigma`` (path to a dense CSV) or ``structure``
     ({kind, param, block, n}), plus ``nreps``, ``seed``, ``model``, ``df``,
-    ``side``, ``batch_size`` with the usual defaults.
+    ``batch_size`` with the usual defaults. A ``side`` key is refused:
+    sidedness belongs to the statistic definition (or the CLI's ``--side``).
     """
     import json
 
     with open(path, encoding="utf-8") as fh:
         spec = json.load(fh)
+    if "side" in spec:
+        raise ValueError("simulation config takes no 'side': sidedness belongs to the statistic definition or --side")
     if "sigma" in spec:
         sigma = dependence.CorrMatrix.from_csv(spec["sigma"])
     elif "structure" in spec:
@@ -109,7 +113,6 @@ def sim_config_from_json(path) -> SimConfig:
         seed=int(spec.get("seed", 0)),
         model=spec.get("model", "gmm"),
         df=float(spec.get("df", 10.0)),
-        side=spec.get("side", "two"),
         batch_size=int(spec.get("batch_size", 100_000)),
     )
 
@@ -132,7 +135,7 @@ def empirical_moments(gdef: GFisherDef, config: SimConfig, nreps: int | None = N
     sums = np.zeros(4)
     count = 0
     for b, size in config.batches(total):
-        t = evaluate(gdef, z_to_pvalues(config.draw(b, size, stream=1), config.side)) - shift
+        t = evaluate(gdef, z_to_pvalues(config.draw(b, size, stream=1), gdef.side)) - shift
         sums += [t.sum(), (t**2).sum(), (t**3).sum(), (t**4).sum()]
         count += size
     m1 = sums[0] / count
@@ -205,19 +208,18 @@ class TIEReport:
         )
 
 
-def _config_echo(config: SimConfig, extra: dict | None = None) -> dict:
+def _config_echo(config: SimConfig, side: str, kstar: int) -> dict:
     out = {
         "nreps": config.nreps,
         "seed": config.seed,
         "model": config.model,
-        "side": config.side,
+        "side": side,
         "n": config.n,
         "sigma_repaired": config.sigma_repaired,
+        "kstar": kstar,
     }
     if config.model == "mvt":
         out["df"] = config.df
-    if extra:
-        out.update(extra)
     return out
 
 
@@ -244,8 +246,9 @@ def empirical_tie(
     """Fraction of simulated replicates whose p-value falls below each level.
 
     ``target`` is a statistic definition (method = one of the approximation
-    tags) or an omnibus panel (method = 'cc' or 'minp'). Streaming and
-    deterministic for a fixed configuration.
+    tags) or an omnibus panel (method = 'cc' or 'minp'), whose sidedness
+    turns replicates into p-values. Streaming and deterministic for a fixed
+    configuration.
     """
     alphas = np.asarray(sorted(alphas, reverse=True), dtype=float)
     if np.any((alphas <= 0) | (alphas >= 1)):
@@ -263,13 +266,11 @@ def empirical_tie(
         tag = f"omnibus_{method}"
     else:
         gdef: GFisherDef = target
-        if gdef.side != config.side:
-            raise ValueError("definition and simulation config disagree on sidedness")
         mom = _auto_moments(gdef, config, [method], moments, moments_nreps)
         null = methods.fit_null(gdef, config.sigma, method, kstar=kstar, moments=mom)
 
         def count_batch(z: np.ndarray) -> tuple[np.ndarray, int]:
-            t = evaluate(gdef, z_to_pvalues(z, config.side))
+            t = evaluate(gdef, z_to_pvalues(z, gdef.side))
             p = np.asarray(null.survival(t))
             bad = int(np.count_nonzero(~np.isfinite(p)))
             p = p[np.isfinite(p)]
@@ -299,15 +300,13 @@ def empirical_tie(
         nreps=config.nreps,
         method=tag,
         n_failures=failures,
-        config=_config_echo(config, {"kstar": kstar}),
+        config=_config_echo(config, target.side, kstar),
     )
 
 
 def _omnibus_counter(panel, method: str, config: SimConfig, alphas: np.ndarray):
     if method not in ("cc", "minp"):
         raise ValueError("omnibus targets take method 'cc' or 'minp'")
-    if panel.side != config.side:
-        raise ValueError("panel and simulation config disagree on sidedness")
 
     if method == "cc":
 
@@ -356,6 +355,8 @@ def _invert_minp_level(panel, alpha: float, seed: int) -> float:
 # Survival curves and inflation factors
 # ---------------------------------------------------------------------------
 
+SURVIVAL_QUANTILES = 1.0 - np.logspace(np.log10(0.5), -4, 40)  # up to the 0.9999 quantile
+
 
 @dataclass
 class SurvivalTable:
@@ -386,22 +387,18 @@ def survival_compare(
     gdef: GFisherDef,
     method_names: Sequence[str],
     config: SimConfig,
-    q_grid: Sequence[float] | None = None,
     *,
     moments: MomentSummary | None = None,
     moments_nreps: int = 100_000,
     kstar: int = dependence.DEFAULT_KSTAR,
 ) -> SurvivalTable:
-    """Right-tail probabilities of each method at empirical null quantiles."""
-    if q_grid is None:
-        q_grid = 1.0 - np.logspace(np.log10(0.5), -4, 40)  # up to the 0.9999 quantile
-    q_grid = np.asarray(q_grid, dtype=float)
+    """Right-tail probabilities of each method at the ``SURVIVAL_QUANTILES`` of the simulated null."""
     draws = np.empty(config.nreps)
     pos = 0
     for b, size in config.batches():
-        draws[pos : pos + size] = evaluate(gdef, z_to_pvalues(config.draw(b, size), config.side))
+        draws[pos : pos + size] = evaluate(gdef, z_to_pvalues(config.draw(b, size), gdef.side))
         pos += size
-    t_q = np.quantile(draws, q_grid)
+    t_q = np.quantile(draws, SURVIVAL_QUANTILES)
     auto = _auto_moments(gdef, config, method_names, moments, moments_nreps)
     table: dict[str, np.ndarray] = {}
     for name in method_names:
@@ -410,9 +407,9 @@ def survival_compare(
         p = np.clip(np.asarray(null.survival(t_q)), PROB_CLAMP_LO, 1.0)
         table[name] = -np.log10(p)
     return SurvivalTable(
-        quantiles=q_grid,
+        quantiles=SURVIVAL_QUANTILES.copy(),
         statistic_values=t_q,
-        empirical_neglog10=-np.log10(np.clip(1.0 - q_grid, PROB_CLAMP_LO, 1.0)),
+        empirical_neglog10=-np.log10(np.clip(1.0 - SURVIVAL_QUANTILES, PROB_CLAMP_LO, 1.0)),
         method_neglog10=table,
     )
 

@@ -307,6 +307,19 @@ class TestCovCommand:
         np.testing.assert_allclose(off, 0.0, atol=1e-15)
         np.testing.assert_allclose(np.diag(cov), 4.0)
 
+    def test_truncation_order_below_one_exits_2(self, workdir, capsys):
+        code = main(
+            [
+                "cov",
+                "--stat", str(workdir / "stat.json"),
+                "--sigma", str(workdir / "sigma.csv"),
+                "--kstar", "0",
+            ]
+        )
+        assert code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert "kstar" in payload["error"]["message"]
+
     def test_structure_round_trip(self, workdir, tmp_path):
         from gfisher.dependence import CorrMatrix, gen_structure
 
@@ -406,6 +419,60 @@ class TestSimulateCommand:
         assert payload["nreps"] == 20000
         assert payload["config"]["seed"] == 2
 
+    def test_one_sided_stat_reads_side_from_definition(self, workdir, capsys):
+        # sidedness comes from the file: the counts are those of the same run
+        # with an explicit --side one (frozen)
+        stat = workdir / "one.json"
+        stat.write_text(json.dumps({"degrees": [2, 2, 2], "side": "one"}))
+        code = main(
+            [
+                "simulate-tie",
+                "--stat", str(stat),
+                "--structure", "equal:0.5:III",
+                "--n", "3",
+                "--method", "gb",
+                "--reps", "20000",
+                "--alphas", "0.05,0.01",
+                "--seed", "5",
+            ]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["counts"] == [980, 218]
+        assert payload["config"]["side"] == "one"
+
+    @pytest.mark.parametrize("component", [[], ["--component-method", "mr"]])
+    def test_one_sided_defs_read_side_from_definitions(self, workdir, capsys, component):
+        # one-sided components default to mr, which simulates its moments
+        defs = workdir / "defs.json"
+        defs.write_text(json.dumps([{"degrees": [2] * 4, "side": "one"}, {"degrees": [1] * 4, "side": "one"}]))
+        code = main(
+            [
+                "simulate-tie",
+                "--defs", str(defs),
+                "--structure", "equal:0.5:III",
+                "--n", "4",
+                "--method", "cc",
+                "--reps", "20000",
+                "--alphas", "0.05,0.01",
+                "--seed", "6",
+            ]
+            + component
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["counts"] == [960, 189]
+        assert payload["config"]["side"] == "one"
+
+    def test_json_config_with_side_exits_2(self, workdir, capsys):
+        cfg = workdir / "sim.json"
+        cfg.write_text(json.dumps({"structure": {"kind": "equal", "param": 0.5, "block": "III", "n": 3}, "side": "one"}))
+        code = main(["simulate-tie", "--stat", str(workdir / "stat.json"), "--config", str(cfg)])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert "sidedness belongs to the statistic" in payload["error"]["message"]
+        load_schema_validator("error.schema.json").validate(payload)
+
 
 class TestSurvivalCommand:
     def test_csv_columns(self, workdir, tmp_path):
@@ -426,7 +493,8 @@ class TestSurvivalCommand:
 
 
 class TestGlmZCommand:
-    def test_panel_output(self, tmp_path, capsys):
+    @pytest.fixture()
+    def design(self, tmp_path):
         rng = np.random.default_rng(17)
         n = 80
         table = np.column_stack(
@@ -443,19 +511,22 @@ class TestGlmZCommand:
         manifest.write_text(
             json.dumps({"response": "y", "inquiry": ["x1", "x2"], "controls": ["c1"]})
         )
+        return ["glm-z", "--data", str(csv), "--manifest", str(manifest)]
+
+    def test_panel_output(self, design, tmp_path, capsys):
         out_sigma = tmp_path / "sig.csv"
-        code = main(
-            [
-                "glm-z",
-                "--data", str(csv),
-                "--manifest", str(manifest),
-                "--estimator", "marginal_ls",
-                "--out-sigma", str(out_sigma),
-            ]
-        )
+        code = main(design + ["--estimator", "marginal_ls", "--out-sigma", str(out_sigma)])
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["z"]) == 2
         sig = np.loadtxt(out_sigma, delimiter=",")
         assert sig.shape == (2, 2)
         np.testing.assert_allclose(np.diag(sig), 1.0)
+
+    def test_manifest_echoes_no_unread_options(self, design, capsys):
+        # the command reads no sidedness, truncation order or seed
+        assert main(design) == 0
+        manifest = json.loads(capsys.readouterr().out)["manifest"]
+        assert not {"side", "kstar", "seed"} & set(manifest)
+        with pytest.raises(SystemExit):
+            main(design + ["--seed", "1"])

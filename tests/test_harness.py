@@ -80,6 +80,15 @@ class TestSampler:
         b = collect(SimConfig(sigma=sigma, nreps=5000, seed=9, batch_size=1000))
         np.testing.assert_array_equal(a, b)
 
+    def test_sidedness_is_not_a_simulation_setting(self, tmp_path):
+        # sidedness belongs to the statistic; a config cannot carry a second copy
+        with pytest.raises(TypeError):
+            SimConfig(sigma=np.eye(2), nreps=100, side="one")
+        cfg = tmp_path / "sim.json"
+        cfg.write_text('{"structure": {"kind": "equal", "param": 0.5, "block": "III", "n": 3}, "side": "two"}')
+        with pytest.raises(ValueError, match="sidedness belongs to the statistic"):
+            harness.sim_config_from_json(cfg)
+
 
 class TestEmpiricalMoments:
     def test_independent_fisher_moments(self):
@@ -100,6 +109,15 @@ class TestEmpiricalMoments:
         # normalized weights (2, 0): statistic is 2 * chi2_2
         assert m.mu == pytest.approx(4.0, rel=0.02)
         assert m.var == pytest.approx(16.0, rel=0.05)
+
+    def test_one_sided_definition_gives_one_sided_moments(self):
+        # sidedness comes from the definition: the simulated variance matches
+        # the one-sided series value (203), not the two-sided statistic's (129)
+        g = GFisherDef.fisher(10, side="one")
+        sigma = dependence.gen_structure("equal", "III", 10, 0.5)
+        m = empirical_moments(g, SimConfig(sigma=sigma, nreps=200_000, seed=3))
+        series_var = g.weights @ dependence.cov_matrix(g, sigma) @ g.weights
+        assert m.var == pytest.approx(series_var, rel=0.03)
 
     def test_small_nreps_rejected(self):
         g = GFisherDef.fisher(2)
@@ -162,12 +180,6 @@ class TestEmpiricalTie:
         d = report.as_dict()
         assert set(d) >= {"alphas", "rates", "ratios", "mc_se", "nreps", "method", "config"}
 
-    def test_side_mismatch_rejected(self):
-        g = GFisherDef.fisher(4, side="one")
-        config = SimConfig(sigma=np.eye(4), nreps=1000, seed=0, side="two")
-        with pytest.raises(ValueError):
-            empirical_tie(g, "gb", config, [0.1])
-
     def test_omnibus_cc_tie(self):
         from gfisher.omnibus import build_panel
 
@@ -199,6 +211,14 @@ class TestSurvivalCompare:
         gap = np.abs(table.method_neglog10["gb"][keep] - table.empirical_neglog10[keep])
         assert np.max(gap) < 0.05
 
+    def test_one_sided_definition_gives_one_sided_draws(self):
+        g = GFisherDef.fisher(4, side="one")
+        sigma = dependence.gen_structure("equal", "III", 4, 0.5)
+        config = SimConfig(sigma=sigma, nreps=20_000, seed=15, batch_size=7_000)
+        table = survival_compare(g, ["gb"], config)
+        t = np.concatenate([_stats(g, zb) for zb in null_batches(config)])
+        np.testing.assert_array_equal(table.statistic_values, np.quantile(t, table.quantiles))
+
     def test_csv_output(self, tmp_path):
         g = GFisherDef.fisher(4)
         config = SimConfig(sigma=np.eye(4), nreps=50_000, seed=14)
@@ -214,7 +234,7 @@ class TestSurvivalCompare:
         # where no quadratic-form surrogate exists
         g = GFisherDef.fisher(10, side="one")
         sigma = dependence.gen_structure("equal", "III", 10, 0.5)
-        config = SimConfig(sigma=sigma, nreps=1_000_000, seed=404, side="one")
+        config = SimConfig(sigma=sigma, nreps=1_000_000, seed=404)
         mom = empirical_moments(g, config, 100_000)
         rep = empirical_tie(g, "mr", config, [1e-3], moments=mom, threads=2)
         assert 0.6 <= rep.ratios[0] <= 1.4

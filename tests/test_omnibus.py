@@ -225,7 +225,7 @@ def test_one_sided_panel_with_empirical_moments():
 
     defs = [GFisherDef.fisher(4, side="one"), GFisherDef(degrees=[3.0] * 4, side="one")]
     sigma = dependence.gen_structure("equal", "III", 4, 0.3)
-    config = harness.SimConfig(sigma=sigma, nreps=50_000, seed=19, side="one")
+    config = harness.SimConfig(sigma=sigma, nreps=50_000, seed=19)
     moments = [harness.empirical_moments(g, config) for g in defs]
     panel = build_panel(defs, sigma, moments=moments)  # one-sided defaults to mr
     assert panel.method_tags == ["mr", "mr"]

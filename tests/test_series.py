@@ -123,6 +123,18 @@ class TestOddOrdersSkipped:
         assert _last_term(GFisherDef(degrees=[2] * 4, side="one"), sigma, kstar=7) > 0.0
 
 
+class TestTruncationOrder:
+    @pytest.mark.parametrize("kstar", [0, -3])
+    def test_order_below_one_rejected(self, kstar):
+        # an empty series would price every fit as if sigma were the identity
+        g = GFisherDef.fisher(5)
+        sigma = gen_structure("equal", "III", 5, 0.8)
+        with pytest.raises(ValueError, match="kstar"):
+            cov_series([g], sigma, kstar)
+        with pytest.raises(ValueError, match="kstar"):
+            methods.compute_pvalue(g, sigma, np.full(5, 2.0), method="gb", kstar=kstar)
+
+
 class TestOnePassPerFit:
     @pytest.fixture()
     def passes(self, monkeypatch):
