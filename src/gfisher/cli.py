@@ -9,6 +9,7 @@ are deterministic in (arguments, input files, seed). Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -79,50 +80,28 @@ def _resolve_sigma(args, n_hint: int | None = None) -> CorrMatrix:
     raise ValueError("provide a correlation matrix via --sigma or --structure")
 
 
-def _reject_unused_reps(args, what: str) -> None:
-    if args.reps is not None:
+def _component_moments(args, defs, tags, sigma, what: str) -> list:
+    """Each component's simulated moments (None where its method takes none), from ``--reps`` replicates."""
+    nreps = max(args.reps or harness.MOMENT_REPS, 100)
+    # SimConfig factors (and may repair) sigma: build it only when used, and once
+    config = functools.cache(lambda: harness.SimConfig(sigma=sigma, nreps=nreps, seed=args.seed))
+    moments = [harness.simulated_moments(g, [t], config, nreps)[0] for g, t in zip(defs, tags)]
+    if args.reps is not None and all(m is None for m in moments):
         raise ValueError(f"--reps does not apply to {what}: no moments are simulated")
+    return moments
 
 
-def _resolve_moments(args, gdef, sigma):
-    if args.method not in methods._NEEDS_MOMENTS:
-        if args.moments is not None:
-            raise ValueError(f"--moments does not apply to method {args.method!r}, which takes no moment summary")
-        _reject_unused_reps(args, f"method {args.method!r}")
-        return None
-    if args.moments == "qform":
-        _reject_unused_reps(args, "--moments qform")
-        m = qform.build_m(gdef, sigma, dependence.cov_matrix(gdef, sigma, args.kstar))
-        return qform.hybrid_moments(qform.eigen_spec(gdef, m))
-    config = harness.SimConfig(sigma=sigma, nreps=max(args.reps or 100_000, 100), seed=args.seed)
-    return harness._auto_moments(gdef, config, [args.method], None, config.nreps)
+_MANIFEST_KEYS = (  # the options a run's manifest echoes, when set
+    "stat", "defs", "config", "sigma", "structure", "n", "input", "kind", "method", "side",
+    "kstar", "seed", "reps", "qf_acc", "minp_tol", "model", "df", "alphas", "threads",
+)
+_CONFIG_REPLACES = ("reps", "seed", "model", "df", "sigma", "structure", "n")  # simulate-tie flags a --config file sets
 
 
-def _manifest(args, command: str) -> dict:
-    keep = (
-        "stat",
-        "defs",
-        "sigma",
-        "structure",
-        "n",
-        "input",
-        "kind",
-        "method",
-        "side",
-        "kstar",
-        "seed",
-        "reps",
-        "moments",
-        "qf_acc",
-        "minp_tol",
-        "model",
-        "df",
-        "alphas",
-        "threads",
-    )
+def _manifest(args, command: str, omit: tuple = ()) -> dict:
     out = {"command": command}
-    for key in keep:
-        if hasattr(args, key) and getattr(args, key) is not None:
+    for key in _MANIFEST_KEYS:
+        if key not in omit and getattr(args, key, None) is not None:
             out[key] = getattr(args, key)
     return out
 
@@ -136,7 +115,8 @@ def _cmd_pvalue(args) -> int:
     gdef = _read_def(args.stat, args.side)
     sigma = _resolve_sigma(args, gdef.n)
     values = _read_values(args.input)
-    moments = _resolve_moments(args, gdef, sigma)
+    args.method = args.method or omnibus._default_method(gdef.side)
+    (moments,) = _component_moments(args, [gdef], [args.method], sigma, f"method {args.method!r}")
     result = methods.compute_pvalue(
         gdef,
         sigma,
@@ -157,12 +137,7 @@ def _cmd_omnibus(args) -> int:
     sigma = _resolve_sigma(args, defs[0].n)
     values = _read_values(args.input)
     tags = [args.method or omnibus._default_method(g.side) for g in defs]
-    moment_list = None
-    if any(t in methods._NEEDS_MOMENTS for t in tags):  # SimConfig factors sigma: build it only when used
-        config = harness.SimConfig(sigma=sigma, nreps=max(args.reps or 100_000, 100), seed=args.seed)
-        moment_list = [harness._auto_moments(g, config, [t], None, config.nreps) for g, t in zip(defs, tags)]
-    else:
-        _reject_unused_reps(args, f"component methods {sorted(set(tags))}")
+    moment_list = _component_moments(args, defs, tags, sigma, f"component methods {sorted(set(tags))}")
     panel = omnibus.build_panel(
         defs, sigma, method=args.method, kstar=args.kstar, moments=moment_list, qf_acc=args.qf_acc
     )
@@ -208,7 +183,7 @@ def _cmd_simulate_tie(args) -> int:
     if args.defs:
         defs = _read_defs(args.defs, args.side)
         tags = [args.component_method or omnibus._default_method(g.side) for g in defs]
-        moment_list = [harness._auto_moments(g, config, [t], None, 100_000) for g, t in zip(defs, tags)]
+        moment_list = [harness.simulated_moments(g, [t], config)[0] for g, t in zip(defs, tags)]
         panel = omnibus.build_panel(
             defs, config.sigma, method=args.component_method, kstar=args.kstar, moments=moment_list
         )
@@ -217,11 +192,12 @@ def _cmd_simulate_tie(args) -> int:
         )
     else:
         gdef = _read_def(args.stat, args.side)
+        args.method = args.method or omnibus._default_method(gdef.side)
         report = harness.empirical_tie(
             gdef, args.method, config, alphas, threads=args.threads, kstar=args.kstar
         )
     payload = report.as_dict()
-    payload["manifest"] = _manifest(args, "simulate-tie")
+    payload["manifest"] = _manifest(args, "simulate-tie", _CONFIG_REPLACES if args.config else ())
     if args.out and args.out.endswith(".csv"):
         report.to_csv(args.out)
     else:
@@ -233,9 +209,11 @@ def _cmd_survival(args) -> int:
     gdef = _read_def(args.stat, args.side)
     sigma = _resolve_sigma(args, gdef.n)
     config = harness.SimConfig(sigma=sigma, nreps=args.reps, seed=args.seed, model=args.model, df=args.df)
-    table = harness.survival_compare(
-        gdef, args.methods.split(","), config, kstar=args.kstar
-    )
+    if args.methods:
+        names = args.methods.split(",")
+    else:  # gb and mr, plus the side's default method when it is neither (hyb for two-sided input)
+        names = list(dict.fromkeys(["gb", "mr", omnibus._default_method(gdef.side)]))
+    table = harness.survival_compare(gdef, names, config, kstar=args.kstar)
     if args.out:
         table.to_csv(args.out)
     else:
@@ -297,9 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sigma_args(p)
     p.add_argument("--input", required=True, help="CSV of z-scores or p-values")
     p.add_argument("--kind", choices=["z", "p"], default="z")
-    p.add_argument("--method", choices=list(methods.METHODS), default="hyb")
-    p.add_argument("--moments", choices=["empirical", "qform"], default=None)
-    p.add_argument("--reps", type=int, help="replicates for empirical moments")
+    p.add_argument("--method", choices=list(methods.METHODS), help="default: hyb, or mr for one-sided input")
+    p.add_argument("--reps", type=int, help="replicates for simulated moments (mr, ggd*)")
     p.add_argument("--qf-acc", dest="qf_acc", type=float, default=qform.DEFAULT_QF_ACC)
     _add_common(p)
     p.set_defaults(handler=_cmd_pvalue)
@@ -328,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--defs", help="JSON array of definitions (omnibus mode)")
     p.add_argument("--config", help="JSON simulation config (replaces sigma/reps/seed/model flags)")
     _add_sigma_args(p)
-    p.add_argument("--method", default="hyb", help="approximation tag, or cc/minp with --defs")
+    p.add_argument("--method", help="approximation tag (default hyb, or mr if one-sided), or cc/minp with --defs")
     p.add_argument("--component-method", dest="component_method", default=None)
     p.add_argument("--reps", type=int, default=1_000_000)
     p.add_argument("--alphas", default="1e-2,1e-3")
@@ -341,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("survival", help="method survival curves along empirical quantiles")
     p.add_argument("--stat", required=True)
     _add_sigma_args(p)
-    p.add_argument("--methods", default="gb,mr,hyb")
+    p.add_argument("--methods", help="comma-separated; default: gb,mr, plus hyb for two-sided input")
     p.add_argument("--reps", type=int, default=1_000_000)
     p.add_argument("--model", choices=["gmm", "mvt"], default="gmm")
     p.add_argument("--df", type=float, default=10.0)

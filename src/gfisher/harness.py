@@ -27,6 +27,7 @@ __all__ = [
     "empirical_moments",
     "empirical_tie",
     "inflation_factor",
+    "simulated_moments",
     "survival_compare",
 ]
 
@@ -86,13 +87,16 @@ class SimConfig:
         return z
 
 
+_CONFIG_KEYS = ("sigma", "structure", "nreps", "seed", "model", "df", "batch_size")
+
+
 def sim_config_from_json(path) -> SimConfig:
     """Build a simulation configuration from a JSON file.
 
     Keys: ``sigma`` (path to a dense CSV) or ``structure``
     ({kind, param, block, n}), plus ``nreps``, ``seed``, ``model``, ``df``,
-    ``batch_size`` with the usual defaults. A ``side`` key is refused:
-    sidedness belongs to the statistic definition (or the CLI's ``--side``).
+    ``batch_size`` with the usual defaults. Any other key is refused; a
+    ``side`` key because sidedness belongs to the statistic definition.
     """
     import json
 
@@ -100,6 +104,9 @@ def sim_config_from_json(path) -> SimConfig:
         spec = json.load(fh)
     if "side" in spec:
         raise ValueError("simulation config takes no 'side': sidedness belongs to the statistic definition or --side")
+    unknown = sorted(set(spec) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"simulation config has unknown keys {unknown}; expected some of {list(_CONFIG_KEYS)}")
     if "sigma" in spec:
         sigma = dependence.CorrMatrix.from_csv(spec["sigma"])
     elif "structure" in spec:
@@ -223,13 +230,23 @@ def _config_echo(config: SimConfig, side: str, kstar: int) -> dict:
     return out
 
 
-def _auto_moments(
-    gdef: GFisherDef, config: SimConfig, method_names: Sequence[str], moments, moments_nreps: int
-) -> MomentSummary | None:
-    """The given moments, or one simulated summary when some method in ``method_names`` needs it."""
-    if moments is not None or not any(name in methods._NEEDS_MOMENTS for name in method_names):
-        return moments
-    return empirical_moments(gdef, config, moments_nreps)
+MOMENT_REPS = 100_000  # replicates behind the moments simulated for a method
+
+
+def simulated_moments(
+    gdef: GFisherDef, method_names: Sequence[str], config, nreps: int = MOMENT_REPS
+) -> list[MomentSummary | None]:
+    """Per method, the moments it is fitted on when the caller gives none.
+
+    mr and the ggd variants share one summary simulated from ``nreps``
+    replicates, the others get None. ``config`` is a ``SimConfig`` or a
+    function that builds one, called only when something is simulated.
+    """
+    needs = [name in methods._NEEDS_MOMENTS for name in method_names]
+    if not any(needs):
+        return [None] * len(needs)
+    mom = empirical_moments(gdef, config() if callable(config) else config, nreps)
+    return [mom if need else None for need in needs]
 
 
 def empirical_tie(
@@ -239,7 +256,6 @@ def empirical_tie(
     alphas: Sequence[float],
     *,
     moments: MomentSummary | None = None,
-    moments_nreps: int = 100_000,
     kstar: int = dependence.DEFAULT_KSTAR,
     threads: int = 1,
 ) -> TIEReport:
@@ -247,8 +263,9 @@ def empirical_tie(
 
     ``target`` is a statistic definition (method = one of the approximation
     tags) or an omnibus panel (method = 'cc' or 'minp'), whose sidedness
-    turns replicates into p-values. Streaming and deterministic for a fixed
-    configuration.
+    turns replicates into p-values; a panel reports its own ``kstar``.
+    ``moments`` default to ``simulated_moments``. Streaming and deterministic
+    for a fixed configuration.
     """
     alphas = np.asarray(sorted(alphas, reverse=True), dtype=float)
     if np.any((alphas <= 0) | (alphas >= 1)):
@@ -264,10 +281,12 @@ def empirical_tie(
     if isinstance(target, omnibus.OmnibusPanel):
         count_batch = _omnibus_counter(target, method, config, alphas)
         tag = f"omnibus_{method}"
+        kstar = target.diagnostics["kstar"]
     else:
         gdef: GFisherDef = target
-        mom = _auto_moments(gdef, config, [method], moments, moments_nreps)
-        null = methods.fit_null(gdef, config.sigma, method, kstar=kstar, moments=mom)
+        if moments is None:
+            (moments,) = simulated_moments(gdef, [method], config)
+        null = methods.fit_null(gdef, config.sigma, method, kstar=kstar, moments=moments)
 
         def count_batch(z: np.ndarray) -> tuple[np.ndarray, int]:
             t = evaluate(gdef, z_to_pvalues(z, gdef.side))
@@ -389,20 +408,21 @@ def survival_compare(
     config: SimConfig,
     *,
     moments: MomentSummary | None = None,
-    moments_nreps: int = 100_000,
     kstar: int = dependence.DEFAULT_KSTAR,
 ) -> SurvivalTable:
-    """Right-tail probabilities of each method at the ``SURVIVAL_QUANTILES`` of the simulated null."""
+    """Right-tail probabilities of each method at the ``SURVIVAL_QUANTILES`` of the simulated null.
+
+    Every method is fitted on ``moments``, or without them on its ``simulated_moments``.
+    """
     draws = np.empty(config.nreps)
     pos = 0
     for b, size in config.batches():
         draws[pos : pos + size] = evaluate(gdef, z_to_pvalues(config.draw(b, size), gdef.side))
         pos += size
     t_q = np.quantile(draws, SURVIVAL_QUANTILES)
-    auto = _auto_moments(gdef, config, method_names, moments, moments_nreps)
+    fitted_on = simulated_moments(gdef, method_names, config) if moments is None else [moments] * len(method_names)
     table: dict[str, np.ndarray] = {}
-    for name in method_names:
-        mom = auto if name in methods._NEEDS_MOMENTS else moments
+    for name, mom in zip(method_names, fitted_on):
         null = methods.fit_null(gdef, config.sigma, name, kstar=kstar, moments=mom)
         p = np.clip(np.asarray(null.survival(t_q)), PROB_CLAMP_LO, 1.0)
         table[name] = -np.log10(p)

@@ -37,7 +37,8 @@ def workdir(tmp_path):
 
 class TestPvalueCommand:
     def test_fisher_qform_moments(self, workdir, capsys):
-        # T = 6 and the chi2_6 survival 0.4232, frozen from chi2.sf(6, 6)
+        # hyb fits on the q surrogate's moments: T = 6 and the chi2_6
+        # survival 0.4232, frozen from chi2.sf(6, 6)
         code = main(
             [
                 "pvalue",
@@ -45,8 +46,7 @@ class TestPvalueCommand:
                 "--sigma", str(workdir / "sigma.csv"),
                 "--input", str(workdir / "p.csv"),
                 "--kind", "p",
-                "--method", "mr",
-                "--moments", "qform",
+                "--method", "hyb",
             ]
         )
         assert code == 0
@@ -74,7 +74,8 @@ class TestPvalueCommand:
 
     def test_gb_equals_mr_under_independence(self, workdir, capsys):
         outs = []
-        for method, extra in (("gb", []), ("mr", ["--moments", "qform"])):
+        # hyb is mr on the q surrogate's moments
+        for method in ("gb", "hyb"):
             code = main(
                 [
                     "pvalue",
@@ -83,36 +84,13 @@ class TestPvalueCommand:
                     "--input", str(workdir / "p.csv"),
                     "--kind", "p",
                     "--method", method,
-                    *extra,
                 ]
             )
             assert code == 0
             outs.append(json.loads(capsys.readouterr().out)["pvalue"])
         assert outs[0] == pytest.approx(outs[1], abs=1e-6)
 
-    @pytest.mark.parametrize("method", ["gb", "q", "hyb"])
-    @pytest.mark.parametrize("moments", ["qform", "empirical"])
-    def test_moments_rejected_for_methods_without_moments(self, workdir, capsys, method, moments):
-        code = main(
-            [
-                "pvalue",
-                "--stat", str(workdir / "stat.json"),
-                "--sigma", str(workdir / "sigma.csv"),
-                "--input", str(workdir / "p.csv"),
-                "--kind", "p",
-                "--method", method,
-                "--moments", moments,
-            ]
-        )
-        assert code == 2
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["error"]["type"] == "invalid_input"
-        assert "--moments" in payload["error"]["message"]
-        load_schema_validator("error.schema.json").validate(payload)
-
-    @pytest.mark.parametrize(
-        "extra", [["--method", "gb"], ["--method", "q"], ["--method", "hyb"], ["--method", "mr", "--moments", "qform"]]
-    )
+    @pytest.mark.parametrize("extra", [["--method", "gb"], ["--method", "q"], ["--method", "hyb"]])
     def test_reps_rejected_where_no_moments_are_simulated(self, workdir, capsys, extra):
         code = main(
             [
@@ -198,6 +176,39 @@ class TestExitCodes:
             ["simulate-tie", "--stat", str(workdir / "stat.json"), "--sigma", "x"]
         )
         assert args.threads == 3
+
+    @pytest.mark.parametrize("command", ["pvalue", "omnibus", "simulate-tie", "survival"])
+    def test_default_methods_accept_one_sided_input(self, workdir, capsys, command):
+        # hyb needs two-sided input; every default follows the statistic's side (mr here)
+        stat = workdir / "one.json"
+        stat.write_text(json.dumps({"degrees": [2, 2, 2], "side": "one"}))
+        defs = workdir / "defs.json"
+        defs.write_text(json.dumps([{"degrees": [2, 2, 2], "side": "one"}]))
+        given = {
+            "pvalue": ["--stat", str(stat), "--input", str(workdir / "p.csv"), "--kind", "p"],
+            "omnibus": ["--defs", str(defs), "--input", str(workdir / "p.csv"), "--kind", "p"],
+            "simulate-tie": ["--stat", str(stat), "--reps", "2000", "--alphas", "0.05"],
+            "survival": ["--stat", str(stat), "--reps", "2000"],
+        }[command]
+        code = main([command, "--structure", "equal:0.5:III", "--n", "3", *given])
+        assert code == 0
+        out = capsys.readouterr().out
+        if command == "survival":
+            assert out.splitlines()[0] == "quantile,statistic,empirical,gb,mr"
+        elif command == "omnibus":
+            assert json.loads(out)["methods"] == ["mr"]
+        else:
+            assert json.loads(out)["manifest"]["method"] == "mr"
+
+    def test_manifest_keys_are_options(self):
+        # a deleted option cannot leave a stale key in the manifest
+        import argparse
+
+        from gfisher.cli import _MANIFEST_KEYS, build_parser
+
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for p in sub.choices.values() for a in p._actions}
+        assert set(_MANIFEST_KEYS) <= dests
 
 
 class TestOmnibusCommand:
@@ -418,6 +429,9 @@ class TestSimulateCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["nreps"] == 20000
         assert payload["config"]["seed"] == 2
+        # the file replaced these flags, so the manifest names it and not their defaults
+        assert payload["manifest"]["config"] == str(cfg)
+        assert not {"reps", "seed", "model", "df", "sigma", "structure", "n"} & set(payload["manifest"])
 
     def test_one_sided_stat_reads_side_from_definition(self, workdir, capsys):
         # sidedness comes from the file: the counts are those of the same run
@@ -471,6 +485,17 @@ class TestSimulateCommand:
         assert code == 2
         payload = json.loads(capsys.readouterr().out)
         assert "sidedness belongs to the statistic" in payload["error"]["message"]
+        load_schema_validator("error.schema.json").validate(payload)
+
+    def test_json_config_with_unknown_keys_exits_2(self, workdir, capsys):
+        # misspelt keys would otherwise run 1e6 replicates at seed 0
+        cfg = workdir / "sim.json"
+        structure = {"kind": "equal", "param": 0.5, "block": "III", "n": 3}
+        cfg.write_text(json.dumps({"structure": structure, "nrep": 2000, "sed": 2}))
+        code = main(["simulate-tie", "--stat", str(workdir / "stat.json"), "--config", str(cfg)])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert "['nrep', 'sed']" in payload["error"]["message"]
         load_schema_validator("error.schema.json").validate(payload)
 
 

@@ -200,6 +200,16 @@ class TestEmpiricalTie:
         report = empirical_tie(panel, "minp", config, [0.01])
         assert 0.5 < report.ratios[0] < 1.5
 
+    def test_panel_reports_its_own_kstar(self):
+        # the components were fitted with the panel's kstar, not the unread argument
+        from gfisher.omnibus import build_panel
+
+        defs = [GFisherDef(degrees=[float(d)] * 3, side="two") for d in (1, 2)]
+        panel = build_panel(defs, np.eye(3), kstar=4)
+        config = SimConfig(sigma=np.eye(3), nreps=1_000, seed=13)
+        report = empirical_tie(panel, "cc", config, [0.05])
+        assert report.config["kstar"] == 4
+
 
 class TestSurvivalCompare:
     def test_exact_method_matches_diagonal(self):
@@ -252,7 +262,7 @@ class TestSurvivalCompare:
         )
         sigma = dependence.gen_structure("equal", "III", n, 0.7)
         config = SimConfig(sigma=sigma, nreps=1_000_000, seed=505)
-        table = survival_compare(g, ["gb", "mr", "q", "hyb"], config, moments_nreps=100_000)
+        table = survival_compare(g, ["gb", "mr", "q", "hyb"], config)
         gap = lambda name: table.method_neglog10[name] - table.empirical_neglog10
         assert np.max(np.abs(gap("mr"))) <= 0.15
         assert np.max(np.abs(gap("q"))) <= 0.35
@@ -268,7 +278,10 @@ class TestSurvivalCompare:
         g = GFisherDef.fisher(6)
         sigma = dependence.gen_structure("equal", "III", 6, 0.7)
         config = SimConfig(sigma=sigma, nreps=1_000_000, seed=33)
-        table = survival_compare(g, ["gb", "mr", "q"], config, moments_nreps=200_000)
+        table = survival_compare(g, ["gb", "q"], config)
+        mr = survival_compare(g, ["mr"], config, moments=empirical_moments(g, config, 200_000))
+        np.testing.assert_array_equal(mr.statistic_values, table.statistic_values)
+        table.method_neglog10.update(mr.method_neglog10)
         far = table.quantiles >= 0.99
         gap = lambda name: table.method_neglog10[name] - table.empirical_neglog10
         # gb overstates significance in the far tail
@@ -291,9 +304,9 @@ class TestSurvivalCompare:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(harness, "empirical_moments", counting)
-        table = survival_compare(g, names, config, moments_nreps=20_000)
+        table = survival_compare(g, names, config)
         assert len(calls) == 1
-        mom = inner(g, config, 20_000)
+        mom = inner(g, config, harness.MOMENT_REPS)
         for name in names:
             null = methods.fit_null(g, config.sigma, name, moments=None if name == "gb" else mom)
             p = np.clip(np.asarray(null.survival(table.statistic_values)), PROB_CLAMP_LO, 1.0)
