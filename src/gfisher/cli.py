@@ -44,25 +44,33 @@ def _read_values(path: str) -> np.ndarray:
     return np.asarray(vals, dtype=float).ravel()
 
 
-def _def_from_spec(spec: dict, side_flag: str | None) -> GFisherDef:
+_DEF_KEYS = ("degrees", "weights", "side")
+
+
+def _def_from_spec(spec: dict) -> GFisherDef:
+    if not isinstance(spec, dict):
+        raise ValueError("a statistic definition must be a JSON object")
+    unknown = sorted(set(spec) - set(_DEF_KEYS))
+    if unknown:
+        raise ValueError(f"statistic definition has unknown keys {unknown}; expected some of {list(_DEF_KEYS)}")
     return GFisherDef(
         degrees=np.asarray(spec["degrees"], dtype=float),
         weights=np.asarray(spec["weights"], dtype=float) if "weights" in spec else None,
-        side=side_flag or spec.get("side", "two"),
+        side=spec.get("side", "two"),
     )
 
 
-def _read_def(path: str, side_flag: str | None) -> GFisherDef:
+def _read_def(path: str) -> GFisherDef:
     with open(path, encoding="utf-8") as fh:
-        return _def_from_spec(json.load(fh), side_flag)
+        return _def_from_spec(json.load(fh))
 
 
-def _read_defs(path: str, side_flag: str | None) -> list[GFisherDef]:
+def _read_defs(path: str) -> list[GFisherDef]:
     with open(path, encoding="utf-8") as fh:
         entries = json.load(fh)
-    if not isinstance(entries, list):
-        raise ValueError("omnibus definitions must be a JSON array")
-    return [_def_from_spec(spec, side_flag) for spec in entries]
+    if not isinstance(entries, list) or not entries:
+        raise ValueError("omnibus definitions must be a non-empty JSON array")
+    return [_def_from_spec(spec) for spec in entries]
 
 
 def _resolve_sigma(args, n_hint: int | None = None) -> CorrMatrix:
@@ -80,6 +88,13 @@ def _resolve_sigma(args, n_hint: int | None = None) -> CorrMatrix:
     raise ValueError("provide a correlation matrix via --sigma or --structure")
 
 
+def _sim_config(args, n: int) -> harness.SimConfig:
+    """The simulated null of ``simulate-tie`` and ``survival``; ``--structure`` takes n from the definition."""
+    return harness.SimConfig(
+        sigma=_resolve_sigma(args, n), nreps=args.reps, seed=args.seed, model=args.model, df=args.df
+    )
+
+
 def _component_moments(args, defs, tags, sigma, what: str) -> list:
     """Each component's simulated moments (None where its method takes none), from ``--reps`` replicates."""
     nreps = max(args.reps or harness.MOMENT_REPS, 100)
@@ -92,16 +107,15 @@ def _component_moments(args, defs, tags, sigma, what: str) -> list:
 
 
 _MANIFEST_KEYS = (  # the options a run's manifest echoes, when set
-    "stat", "defs", "config", "sigma", "structure", "n", "input", "kind", "method", "side",
-    "kstar", "seed", "reps", "qf_acc", "minp_tol", "model", "df", "alphas", "threads",
+    "stat", "defs", "sigma", "structure", "n", "input", "kind", "method", "component_method", "kstar",
+    "seed", "reps", "qf_acc", "minp_tol", "model", "df", "alphas", "threads", "data", "manifest", "estimator",
 )
-_CONFIG_REPLACES = ("reps", "seed", "model", "df", "sigma", "structure", "n")  # simulate-tie flags a --config file sets
 
 
-def _manifest(args, command: str, omit: tuple = ()) -> dict:
+def _manifest(args, command: str) -> dict:
     out = {"command": command}
     for key in _MANIFEST_KEYS:
-        if key not in omit and getattr(args, key, None) is not None:
+        if getattr(args, key, None) is not None:
             out[key] = getattr(args, key)
     return out
 
@@ -112,7 +126,7 @@ def _manifest(args, command: str, omit: tuple = ()) -> dict:
 
 
 def _cmd_pvalue(args) -> int:
-    gdef = _read_def(args.stat, args.side)
+    gdef = _read_def(args.stat)
     sigma = _resolve_sigma(args, gdef.n)
     values = _read_values(args.input)
     args.method = args.method or omnibus._default_method(gdef.side)
@@ -133,7 +147,7 @@ def _cmd_pvalue(args) -> int:
 
 
 def _cmd_omnibus(args) -> int:
-    defs = _read_defs(args.defs, args.side)
+    defs = _read_defs(args.defs)
     sigma = _resolve_sigma(args, defs[0].n)
     values = _read_values(args.input)
     tags = [args.method or omnibus._default_method(g.side) for g in defs]
@@ -156,7 +170,7 @@ def _cmd_omnibus(args) -> int:
 
 
 def _cmd_cov(args) -> int:
-    gdef = _read_def(args.stat, args.side)
+    gdef = _read_def(args.stat)
     sigma = _resolve_sigma(args, gdef.n)
     cov = dependence.cov_matrix(gdef, sigma, args.kstar)
     if args.out:
@@ -169,21 +183,14 @@ def _cmd_cov(args) -> int:
 
 
 def _cmd_simulate_tie(args) -> int:
-    if args.config:
-        config = harness.sim_config_from_json(args.config)
-    else:
-        config = harness.SimConfig(
-            sigma=_resolve_sigma(args),
-            nreps=args.reps,
-            seed=args.seed,
-            model=args.model,
-            df=args.df,
-        )
+    if (args.stat is None) == (args.defs is None):
+        raise ValueError("simulate-tie needs exactly one of --stat or --defs")
     alphas = [float(a) for a in args.alphas.split(",")]
     if args.defs:
-        defs = _read_defs(args.defs, args.side)
-        tags = [args.component_method or omnibus._default_method(g.side) for g in defs]
-        moment_list = [harness.simulated_moments(g, [t], config)[0] for g, t in zip(defs, tags)]
+        defs = _read_defs(args.defs)
+        config = _sim_config(args, defs[0].n)
+        args.component_method = args.component_method or omnibus._default_method(defs[0].side)
+        moment_list = [harness.simulated_moments(g, [args.component_method], config)[0] for g in defs]
         panel = omnibus.build_panel(
             defs, config.sigma, method=args.component_method, kstar=args.kstar, moments=moment_list
         )
@@ -191,33 +198,27 @@ def _cmd_simulate_tie(args) -> int:
             panel, args.method, config, alphas, threads=args.threads, kstar=args.kstar
         )
     else:
-        gdef = _read_def(args.stat, args.side)
+        gdef = _read_def(args.stat)
+        config = _sim_config(args, gdef.n)
         args.method = args.method or omnibus._default_method(gdef.side)
         report = harness.empirical_tie(
             gdef, args.method, config, alphas, threads=args.threads, kstar=args.kstar
         )
     payload = report.as_dict()
-    payload["manifest"] = _manifest(args, "simulate-tie", _CONFIG_REPLACES if args.config else ())
-    if args.out and args.out.endswith(".csv"):
-        report.to_csv(args.out)
-    else:
-        _emit(payload, args.out)
+    payload["manifest"] = _manifest(args, "simulate-tie")
+    _emit(payload, args.out)
     return EXIT_OK
 
 
 def _cmd_survival(args) -> int:
-    gdef = _read_def(args.stat, args.side)
-    sigma = _resolve_sigma(args, gdef.n)
-    config = harness.SimConfig(sigma=sigma, nreps=args.reps, seed=args.seed, model=args.model, df=args.df)
+    gdef = _read_def(args.stat)
+    config = _sim_config(args, gdef.n)
     if args.methods:
         names = args.methods.split(",")
     else:  # gb and mr, plus the side's default method when it is neither (hyb for two-sided input)
         names = list(dict.fromkeys(["gb", "mr", omnibus._default_method(gdef.side)]))
     table = harness.survival_compare(gdef, names, config, kstar=args.kstar)
-    if args.out:
-        table.to_csv(args.out)
-    else:
-        table.to_csv(sys.stdout)
+    table.to_csv(args.out or sys.stdout)
     return EXIT_OK
 
 
@@ -251,11 +252,10 @@ def _cmd_glm_z(args) -> int:
 def _add_sigma_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", help="dense header-free CSV correlation matrix")
     p.add_argument("--structure", help="generated structure kind:param:block, e.g. equal:0.5:III")
-    p.add_argument("--n", type=int, help="dimension for --structure")
+    p.add_argument("--n", type=int, help="dimension for --structure (default: the definition's)")
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:
-    p.add_argument("--side", choices=["one", "two"], help="input p-value sidedness (overrides the definition's)")
     p.add_argument("--kstar", type=int, default=dependence.DEFAULT_KSTAR)
     if seed:
         p.add_argument("--seed", type=int, default=0)
@@ -303,10 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate-tie", help="empirical type-I-error ratios under the null")
     p.add_argument("--stat", help="statistic JSON (single-statistic mode)")
     p.add_argument("--defs", help="JSON array of definitions (omnibus mode)")
-    p.add_argument("--config", help="JSON simulation config (replaces sigma/reps/seed/model flags)")
     _add_sigma_args(p)
     p.add_argument("--method", help="approximation tag (default hyb, or mr if one-sided), or cc/minp with --defs")
-    p.add_argument("--component-method", dest="component_method", default=None)
+    p.add_argument("--component-method", dest="component_method", help="with --defs; default hyb, or mr if one-sided")
     p.add_argument("--reps", type=int, default=1_000_000)
     p.add_argument("--alphas", default="1e-2,1e-3")
     p.add_argument("--model", choices=["gmm", "mvt"], default="gmm")
@@ -345,8 +344,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "simulate-tie" and not (args.stat or args.defs):
-            raise ValueError("simulate-tie needs --stat or --defs")
         return args.handler(args)
     except NoSolutionError as exc:
         _emit(_error_payload("no_solution", str(exc)), getattr(args, "out", None))

@@ -87,43 +87,6 @@ class SimConfig:
         return z
 
 
-_CONFIG_KEYS = ("sigma", "structure", "nreps", "seed", "model", "df", "batch_size")
-
-
-def sim_config_from_json(path) -> SimConfig:
-    """Build a simulation configuration from a JSON file.
-
-    Keys: ``sigma`` (path to a dense CSV) or ``structure``
-    ({kind, param, block, n}), plus ``nreps``, ``seed``, ``model``, ``df``,
-    ``batch_size`` with the usual defaults. Any other key is refused; a
-    ``side`` key because sidedness belongs to the statistic definition.
-    """
-    import json
-
-    with open(path, encoding="utf-8") as fh:
-        spec = json.load(fh)
-    if "side" in spec:
-        raise ValueError("simulation config takes no 'side': sidedness belongs to the statistic definition or --side")
-    unknown = sorted(set(spec) - set(_CONFIG_KEYS))
-    if unknown:
-        raise ValueError(f"simulation config has unknown keys {unknown}; expected some of {list(_CONFIG_KEYS)}")
-    if "sigma" in spec:
-        sigma = dependence.CorrMatrix.from_csv(spec["sigma"])
-    elif "structure" in spec:
-        s = spec["structure"]
-        sigma = dependence.gen_structure(s["kind"], s["block"], int(s["n"]), float(s["param"]))
-    else:
-        raise ValueError("simulation config needs 'sigma' or 'structure'")
-    return SimConfig(
-        sigma=sigma,
-        nreps=int(spec.get("nreps", 1_000_000)),
-        seed=int(spec.get("seed", 0)),
-        model=spec.get("model", "gmm"),
-        df=float(spec.get("df", 10.0)),
-        batch_size=int(spec.get("batch_size", 100_000)),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Empirical moments
 # ---------------------------------------------------------------------------
@@ -202,17 +165,6 @@ class TIEReport:
             "n_failures": self.n_failures,
             "config": self.config,
         }
-
-    def to_csv(self, path) -> None:
-        rows = np.column_stack([self.alphas, self.rates, self.ratios, self.mc_se])
-        np.savetxt(
-            path,
-            rows,
-            delimiter=",",
-            header="alpha,rate,ratio,mc_se",
-            comments="",
-            fmt="%.12g",
-        )
 
 
 def _config_echo(config: SimConfig, side: str, kstar: int) -> dict:

@@ -209,6 +209,25 @@ class TestExitCodes:
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         dests = {a.dest for p in sub.choices.values() for a in p._actions}
         assert set(_MANIFEST_KEYS) <= dests
+        # and every option of a JSON-reporting command but its output paths is echoed
+        for command in ("pvalue", "omnibus", "simulate-tie", "glm-z"):
+            options = {a.dest for a in sub.choices[command]._actions if not isinstance(a, argparse._HelpAction)}
+            assert options - {"out", "out_sigma", "out_z"} <= set(_MANIFEST_KEYS), command
+
+    @pytest.mark.parametrize("command", ["pvalue", "omnibus"])
+    def test_unknown_definition_keys_exit_2(self, workdir, capsys, command):
+        # a misspelt "side" would otherwise price a one-sided statistic two-sided
+        spec = {"degrees": [2, 2, 2], "sides": "one"}
+        path = workdir / "typo.json"
+        path.write_text(json.dumps(spec if command == "pvalue" else [spec]))
+        zin = workdir / "z.csv"
+        np.savetxt(zin, [[0.5, 1.2, -0.3]], delimiter=",")
+        flag = "--stat" if command == "pvalue" else "--defs"
+        code = main([command, flag, str(path), "--structure", "equal:0.5:III", "--input", str(zin)])
+        assert code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert "unknown keys ['sides']" in payload["error"]["message"]
+        load_schema_validator("error.schema.json").validate(payload)
 
 
 class TestOmnibusCommand:
@@ -299,6 +318,15 @@ class TestOmnibusCommand:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("entries", [[], [[2, 2, 2]]])
+    def test_defs_need_definition_objects(self, workdir, capsys, entries):
+        defs = self._defs(workdir, entries)
+        zin = workdir / "z.csv"
+        np.savetxt(zin, [[0.0, 0.0, 0.0]], delimiter=",")
+        code = main(["omnibus", "--defs", str(defs), "--structure", "equal:0.5:III", "--input", str(zin)])
+        assert code == 2
+        load_schema_validator("error.schema.json").validate(json.loads(capsys.readouterr().out))
 
 
 class TestCovCommand:
@@ -405,37 +433,8 @@ class TestSimulateCommand:
         load_schema_validator("tie_report.schema.json").validate(payload)
         assert payload["nreps"] == 20000
 
-    def test_json_config_consumed(self, workdir, capsys):
-        cfg = workdir / "sim.json"
-        cfg.write_text(
-            json.dumps(
-                {
-                    "structure": {"kind": "equal", "param": 0.5, "block": "III", "n": 3},
-                    "nreps": 20000,
-                    "seed": 2,
-                }
-            )
-        )
-        code = main(
-            [
-                "simulate-tie",
-                "--stat", str(workdir / "stat.json"),
-                "--config", str(cfg),
-                "--method", "gb",
-                "--alphas", "0.05",
-            ]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["nreps"] == 20000
-        assert payload["config"]["seed"] == 2
-        # the file replaced these flags, so the manifest names it and not their defaults
-        assert payload["manifest"]["config"] == str(cfg)
-        assert not {"reps", "seed", "model", "df", "sigma", "structure", "n"} & set(payload["manifest"])
-
     def test_one_sided_stat_reads_side_from_definition(self, workdir, capsys):
-        # sidedness comes from the file: the counts are those of the same run
-        # with an explicit --side one (frozen)
+        # sidedness comes from the file alone: one-sided counts (frozen)
         stat = workdir / "one.json"
         stat.write_text(json.dumps({"degrees": [2, 2, 2], "side": "one"}))
         code = main(
@@ -477,25 +476,28 @@ class TestSimulateCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["counts"] == [960, 189]
         assert payload["config"]["side"] == "one"
+        assert payload["manifest"]["component_method"] == "mr"
 
-    def test_json_config_with_side_exits_2(self, workdir, capsys):
-        cfg = workdir / "sim.json"
-        cfg.write_text(json.dumps({"structure": {"kind": "equal", "param": 0.5, "block": "III", "n": 3}, "side": "one"}))
-        code = main(["simulate-tie", "--stat", str(workdir / "stat.json"), "--config", str(cfg)])
+    def test_structure_takes_n_from_definition(self, workdir, capsys):
+        base = ["simulate-tie", "--stat", str(workdir / "stat.json"), "--structure", "equal:0.5:III"]
+        base += ["--method", "gb", "--reps", "2000", "--alphas", "0.05", "--seed", "2"]
+        assert main(base) == 0
+        implied = json.loads(capsys.readouterr().out)
+        assert main(base + ["--n", "3"]) == 0
+        explicit = json.loads(capsys.readouterr().out)
+        assert implied["config"]["n"] == 3
+        assert implied["counts"] == explicit["counts"]
+        assert "n" not in implied["manifest"]
+
+    @pytest.mark.parametrize("given", [["--stat", "stat.json", "--defs", "defs.json"], []])
+    def test_needs_exactly_one_of_stat_and_defs(self, workdir, capsys, given):
+        # with both, one of them would be silently ignored
+        (workdir / "defs.json").write_text(json.dumps([{"degrees": [2, 2, 2]}]))
+        paths = [str(workdir / a) if a.endswith(".json") else a for a in given]
+        code = main(["simulate-tie", *paths, "--sigma", str(workdir / "sigma.csv"), "--method", "cc"])
         assert code == 2
         payload = json.loads(capsys.readouterr().out)
-        assert "sidedness belongs to the statistic" in payload["error"]["message"]
-        load_schema_validator("error.schema.json").validate(payload)
-
-    def test_json_config_with_unknown_keys_exits_2(self, workdir, capsys):
-        # misspelt keys would otherwise run 1e6 replicates at seed 0
-        cfg = workdir / "sim.json"
-        structure = {"kind": "equal", "param": 0.5, "block": "III", "n": 3}
-        cfg.write_text(json.dumps({"structure": structure, "nrep": 2000, "sed": 2}))
-        code = main(["simulate-tie", "--stat", str(workdir / "stat.json"), "--config", str(cfg)])
-        assert code == 2
-        payload = json.loads(capsys.readouterr().out)
-        assert "['nrep', 'sed']" in payload["error"]["message"]
+        assert "exactly one of --stat or --defs" in payload["error"]["message"]
         load_schema_validator("error.schema.json").validate(payload)
 
 

@@ -80,14 +80,10 @@ class TestSampler:
         b = collect(SimConfig(sigma=sigma, nreps=5000, seed=9, batch_size=1000))
         np.testing.assert_array_equal(a, b)
 
-    def test_sidedness_is_not_a_simulation_setting(self, tmp_path):
+    def test_sidedness_is_not_a_simulation_setting(self):
         # sidedness belongs to the statistic; a config cannot carry a second copy
         with pytest.raises(TypeError):
             SimConfig(sigma=np.eye(2), nreps=100, side="one")
-        cfg = tmp_path / "sim.json"
-        cfg.write_text('{"structure": {"kind": "equal", "param": 0.5, "block": "III", "n": 3}, "side": "two"}')
-        with pytest.raises(ValueError, match="sidedness belongs to the statistic"):
-            harness.sim_config_from_json(cfg)
 
 
 class TestEmpiricalMoments:
