@@ -73,23 +73,21 @@ def _read_defs(path: str) -> list[GFisherDef]:
     return [_def_from_spec(spec) for spec in entries]
 
 
-def _resolve_sigma(args, n_hint: int | None = None) -> CorrMatrix:
-    if getattr(args, "sigma", None):
+def _resolve_sigma(args, n: int) -> CorrMatrix:
+    """``--sigma``, or ``--structure`` at the definition's dimension n."""
+    if args.sigma:
         return CorrMatrix.from_csv(args.sigma)
-    if getattr(args, "structure", None):
+    if args.structure:
         parts = args.structure.split(":")
         if len(parts) != 3:
             raise ValueError("--structure takes kind:param:block, e.g. equal:0.5:III")
         kind, param, block = parts
-        n = args.n or n_hint
-        if not n:
-            raise ValueError("--n is required with --structure")
-        return gen_structure(kind, block, int(n), float(param))
+        return gen_structure(kind, block, n, float(param))
     raise ValueError("provide a correlation matrix via --sigma or --structure")
 
 
 def _sim_config(args, n: int) -> harness.SimConfig:
-    """The simulated null of ``simulate-tie`` and ``survival``; ``--structure`` takes n from the definition."""
+    """The simulated null of ``simulate-tie`` and ``survival``."""
     return harness.SimConfig(
         sigma=_resolve_sigma(args, n), nreps=args.reps, seed=args.seed, model=args.model, df=args.df
     )
@@ -107,7 +105,7 @@ def _component_moments(args, defs, tags, sigma, what: str) -> list:
 
 
 _MANIFEST_KEYS = (  # the options a run's manifest echoes, when set
-    "stat", "defs", "sigma", "structure", "n", "input", "kind", "method", "component_method", "kstar",
+    "stat", "defs", "sigma", "structure", "input", "kind", "method", "component_method", "kstar",
     "seed", "reps", "qf_acc", "minp_tol", "model", "df", "alphas", "threads", "data", "manifest", "estimator",
 )
 
@@ -198,6 +196,8 @@ def _cmd_simulate_tie(args) -> int:
             panel, args.method, config, alphas, threads=args.threads, kstar=args.kstar
         )
     else:
+        if args.component_method is not None:
+            raise ValueError("--component-method applies only with --defs")
         gdef = _read_def(args.stat)
         config = _sim_config(args, gdef.n)
         args.method = args.method or omnibus._default_method(gdef.side)
@@ -251,8 +251,7 @@ def _cmd_glm_z(args) -> int:
 
 def _add_sigma_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma", help="dense header-free CSV correlation matrix")
-    p.add_argument("--structure", help="generated structure kind:param:block, e.g. equal:0.5:III")
-    p.add_argument("--n", type=int, help="dimension for --structure (default: the definition's)")
+    p.add_argument("--structure", help="generated structure kind:param:block at the definition's n, e.g. equal:0.5:III")
 
 
 def _add_common(p: argparse.ArgumentParser, seed: bool = True) -> None:

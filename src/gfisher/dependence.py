@@ -8,9 +8,10 @@ where n* is the number of distinct degrees of freedom, and all orders of one d
 come from one evaluation of its transform on a fixed quadrature grid.
 
 One pass (``cov_series``) serves every definition sharing a sigma: each order
-raises sigma to the k-th power once for the covariance matrices, the
-truncation diagnostics and, when asked, the omnibus cross covariance. Odd orders, whose
-coefficients are exact zeros for two-sided input, are skipped there.
+multiplies the previous power of sigma by sigma once (by sigma^2 for two-sided
+input, whose odd-order coefficients are exact zeros and are skipped) for the
+covariance matrices, the truncation diagnostics and, when asked, the omnibus
+cross covariance.
 
 Also provides the block correlation-structure generators used by the
 simulation harness, CSV round-tripping for correlation matrices, and a
@@ -23,7 +24,6 @@ import warnings
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lgamma
 
 import numpy as np
 
@@ -182,20 +182,23 @@ def cov_series(defs, sigma, kstar: int = DEFAULT_KSTAR, *, cross=False) -> CovSe
     last_terms = [0.0] * m
     omega = np.zeros((m, m)) if cross else None
     vs = np.empty((m, n))
+    # sigma^k as a chain of products: two-sided input steps over the odd orders
+    step = s * s if side == "two" else s.copy()
+    np.fill_diagonal(step, 0.0)  # every consumer treats sigma_ii = 1 exactly
+    sk, term = np.ones((n, n)), np.empty((n, n))
     fact = 1.0
     for k in range(1, kstar + 1):
         fact *= k
         if side == "two" and k % 2 == 1:
             continue
-        sk = s**k
-        np.fill_diagonal(sk, 0.0)  # every consumer treats sigma_ii = 1 exactly
+        np.multiply(sk, step, out=sk)
         for l, (g, cov) in enumerate(zip(defs, covs)):
             v = coeffs[l][k - 1]
             vs[l] = g.weights * v
-            vv = np.outer(v, v)
-            cov += sk * vv / fact
+            np.multiply(sk, np.outer(v, v / fact, out=term), out=term)
+            cov += term
             if k == kstar:
-                last_terms[l] = float(np.abs(sk * vv).max() / np.exp(lgamma(kstar + 1)))
+                last_terms[l] = float(np.abs(term, out=term).max())
         if cross:
             omega += vs @ sk @ vs.T / fact
 

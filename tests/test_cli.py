@@ -190,7 +190,7 @@ class TestExitCodes:
             "simulate-tie": ["--stat", str(stat), "--reps", "2000", "--alphas", "0.05"],
             "survival": ["--stat", str(stat), "--reps", "2000"],
         }[command]
-        code = main([command, "--structure", "equal:0.5:III", "--n", "3", *given])
+        code = main([command, "--structure", "equal:0.5:III", *given])
         assert code == 0
         out = capsys.readouterr().out
         if command == "survival":
@@ -368,7 +368,6 @@ class TestCovCommand:
                 "cov",
                 "--stat", str(workdir / "stat.json"),
                 "--structure", "equal:0.5:III",
-                "--n", "3",
                 "--out", str(tmp_path / "cov.csv"),
                 "--out-sigma", str(out_sigma),
             ]
@@ -385,7 +384,6 @@ class TestSimulateCommand:
             "simulate-tie",
             "--stat", str(workdir / "stat.json"),
             "--structure", "equal:0.5:III",
-            "--n", "3",
             "--method", "hyb",
             "--reps", "20000",
             "--alphas", "0.05,0.01",
@@ -404,7 +402,6 @@ class TestSimulateCommand:
                 "simulate-tie",
                 "--defs", str(defs),
                 "--structure", "equal:0.5:III",
-                "--n", "4",
                 "--method", "cc",
                 "--component-method", "ggd123",
                 "--reps", "20000",
@@ -442,7 +439,6 @@ class TestSimulateCommand:
                 "simulate-tie",
                 "--stat", str(stat),
                 "--structure", "equal:0.5:III",
-                "--n", "3",
                 "--method", "gb",
                 "--reps", "20000",
                 "--alphas", "0.05,0.01",
@@ -464,7 +460,6 @@ class TestSimulateCommand:
                 "simulate-tie",
                 "--defs", str(defs),
                 "--structure", "equal:0.5:III",
-                "--n", "4",
                 "--method", "cc",
                 "--reps", "20000",
                 "--alphas", "0.05,0.01",
@@ -483,11 +478,30 @@ class TestSimulateCommand:
         base += ["--method", "gb", "--reps", "2000", "--alphas", "0.05", "--seed", "2"]
         assert main(base) == 0
         implied = json.loads(capsys.readouterr().out)
-        assert main(base + ["--n", "3"]) == 0
-        explicit = json.loads(capsys.readouterr().out)
         assert implied["config"]["n"] == 3
-        assert implied["counts"] == explicit["counts"]
         assert "n" not in implied["manifest"]
+        # the definition is the only spelling of n: a second one could only agree or fail
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["--n", "3"])
+        assert exc.value.code == 2
+
+    def test_component_method_needs_defs(self, workdir, capsys):
+        # with --stat no component is fitted: the option would shape nothing yet echo in the manifest
+        code = main(
+            [
+                "simulate-tie",
+                "--stat", str(workdir / "stat.json"),
+                "--structure", "equal:0.5:III",
+                "--method", "gb",
+                "--component-method", "ggd123",
+                "--reps", "2000",
+                "--alphas", "0.05",
+            ]
+        )
+        assert code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["type"] == "invalid_input"
+        assert payload["error"]["message"] == "--component-method applies only with --defs"
 
     @pytest.mark.parametrize("given", [["--stat", "stat.json", "--defs", "defs.json"], []])
     def test_needs_exactly_one_of_stat_and_defs(self, workdir, capsys, given):

@@ -1,5 +1,8 @@
 """One covariance-series pass per fit: the fit paths agree exactly with the public pieces."""
 
+import tracemalloc
+from math import lgamma
+
 import numpy as np
 import pytest
 
@@ -121,6 +124,64 @@ class TestOddOrdersSkipped:
         sigma = gen_structure("equal", "III", 4, 0.5)
         assert _last_term(GFisherDef.fisher(4), sigma, kstar=7) == 0.0
         assert _last_term(GFisherDef(degrees=[2] * 4, side="one"), sigma, kstar=7) > 0.0
+
+
+def _pow_series(g, sigma, kstar):
+    """Covariance matrix and last term with every order raised by ``s**k`` (the oracle)."""
+    s = dependence.as_corr(sigma).values
+    (coeffs,) = dependence._coeff_table([g], g.side, kstar)
+    cov, last, fact = np.zeros_like(s), 0.0, 1.0
+    for k in range(1, kstar + 1):
+        fact *= k
+        if g.side == "two" and k % 2 == 1:
+            continue
+        sk = s**k
+        np.fill_diagonal(sk, 0.0)
+        vv = np.outer(coeffs[k - 1], coeffs[k - 1])
+        cov += sk * vv / fact
+        if k == kstar:
+            last = float(np.abs(sk * vv).max() / np.exp(lgamma(kstar + 1)))
+    np.fill_diagonal(cov, 2.0 * g.degrees)
+    return cov, last
+
+
+def _random_corr(n, seed):
+    x = np.random.default_rng(seed).standard_normal((n, n + 3))
+    a = x @ x.T
+    d = np.sqrt(np.diag(a))
+    return a / np.outer(d, d)
+
+
+class TestChainedPowers:
+    STRUCTURES = [(kind, block) for kind in ("equal", "poly", "invequal") for block in ("I", "II", "III")]
+    PARAMS = {"equal": 0.5, "poly": 1.0, "invequal": 0.5}
+
+    @pytest.mark.parametrize("side", ["one", "two"])
+    @pytest.mark.parametrize("kstar", [1, 2, 7, 8, 12])
+    def test_matches_pow_oracle(self, side, kstar):
+        # the chain of products rounds differently from s**k, by a few ulp at most
+        g = GFisherDef(degrees=[1, 2, 3.5, 2, 1, 4, 0.5, 2], weights=np.linspace(0.5, 2.0, 8), side=side)
+        sigmas = {f"{k}:{b}": gen_structure(k, b, 8, self.PARAMS[k]) for k, b in self.STRUCTURES}
+        sigmas["random"] = _random_corr(8, 11)
+        for name, sigma in sigmas.items():
+            out = cov_series([g], sigma, kstar)
+            cov, last = _pow_series(g, sigma, kstar)
+            np.testing.assert_allclose(out.covs[0], cov, rtol=2e-15, atol=0, err_msg=name)
+            assert out.last_terms[0] == pytest.approx(last, rel=2e-15, abs=0), name
+
+    def test_pass_peak_memory(self):
+        # the pass holds sigma^k, its step, one term buffer and the covariance:
+        # a further n x n temporary would show in the benchmark's peak RSS
+        n = 400
+        g, sigma = GFisherDef.fisher(n), gen_structure("equal", "III", n, 0.5)
+        cov_series([g], sigma)  # the coefficient table is cached after this
+        tracemalloc.start()
+        try:
+            cov_series([g], sigma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * n * n * 8
 
 
 class TestTruncationOrder:
