@@ -9,8 +9,8 @@ ggd234, ggdmr). Omnibus tests over several weighting schemes are provided via
 the minimum p-value and the Cauchy combination.
 """
 
-from .dependence import CorrMatrix, cov_matrix, cov_summands, gen_structure
-from .harness import SimConfig, empirical_moments, empirical_tie, inflation_factor, survival_compare
+from .dependence import CorrMatrix, cov_matrix, gen_structure
+from .harness import SimConfig, empirical_moments, empirical_tie, survival_compare
 from .methods import METHODS, compute_pvalue, fit_null
 from .omnibus import build_panel, component_pvalues, omnibus_pvalues, pvalue_cc
 from .qform import hybrid_moments
@@ -42,7 +42,6 @@ __all__ = [
     "component_pvalues",
     "compute_pvalue",
     "cov_matrix",
-    "cov_summands",
     "empirical_moments",
     "empirical_tie",
     "evaluate",
@@ -52,7 +51,6 @@ __all__ = [
     "fit_null",
     "gen_structure",
     "hybrid_moments",
-    "inflation_factor",
     "omnibus_pvalues",
     "pvalue_cc",
     "survival_compare",

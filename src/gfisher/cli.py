@@ -75,6 +75,8 @@ def _read_defs(path: str) -> list[GFisherDef]:
 
 def _resolve_sigma(args, n: int) -> CorrMatrix:
     """``--sigma``, or ``--structure`` at the definition's dimension n."""
+    if args.sigma and args.structure:
+        raise ValueError("give one of --sigma and --structure, not both")
     if args.sigma:
         return CorrMatrix.from_csv(args.sigma)
     if args.structure:
@@ -127,7 +129,7 @@ def _cmd_pvalue(args) -> int:
     gdef = _read_def(args.stat)
     sigma = _resolve_sigma(args, gdef.n)
     values = _read_values(args.input)
-    args.method = args.method or omnibus._default_method(gdef.side)
+    args.method = args.method or methods.default_method(gdef)
     (moments,) = _component_moments(args, [gdef], [args.method], sigma, f"method {args.method!r}")
     result = methods.compute_pvalue(
         gdef,
@@ -148,7 +150,7 @@ def _cmd_omnibus(args) -> int:
     defs = _read_defs(args.defs)
     sigma = _resolve_sigma(args, defs[0].n)
     values = _read_values(args.input)
-    tags = [args.method or omnibus._default_method(g.side) for g in defs]
+    tags = [args.method or methods.default_method(g) for g in defs]
     moment_list = _component_moments(args, defs, tags, sigma, f"component methods {sorted(set(tags))}")
     panel = omnibus.build_panel(
         defs, sigma, method=args.method, kstar=args.kstar, moments=moment_list, qf_acc=args.qf_acc
@@ -187,11 +189,12 @@ def _cmd_simulate_tie(args) -> int:
     if args.defs:
         defs = _read_defs(args.defs)
         config = _sim_config(args, defs[0].n)
-        args.component_method = args.component_method or omnibus._default_method(defs[0].side)
-        moment_list = [harness.simulated_moments(g, [args.component_method], config)[0] for g in defs]
+        tags = [args.component_method or methods.default_method(g) for g in defs]
+        moment_list = [harness.simulated_moments(g, [t], config)[0] for g, t in zip(defs, tags)]
         panel = omnibus.build_panel(
             defs, config.sigma, method=args.component_method, kstar=args.kstar, moments=moment_list
         )
+        args.component_method = panel.method_tags
         report = harness.empirical_tie(
             panel, args.method, config, alphas, threads=args.threads, kstar=args.kstar
         )
@@ -200,7 +203,7 @@ def _cmd_simulate_tie(args) -> int:
             raise ValueError("--component-method applies only with --defs")
         gdef = _read_def(args.stat)
         config = _sim_config(args, gdef.n)
-        args.method = args.method or omnibus._default_method(gdef.side)
+        args.method = args.method or methods.default_method(gdef)
         report = harness.empirical_tie(
             gdef, args.method, config, alphas, threads=args.threads, kstar=args.kstar
         )
@@ -215,8 +218,8 @@ def _cmd_survival(args) -> int:
     config = _sim_config(args, gdef.n)
     if args.methods:
         names = args.methods.split(",")
-    else:  # gb and mr, plus the side's default method when it is neither (hyb for two-sided input)
-        names = list(dict.fromkeys(["gb", "mr", omnibus._default_method(gdef.side)]))
+    else:  # gb and mr, plus the definition's default method when it is neither
+        names = list(dict.fromkeys(["gb", "mr", methods.default_method(gdef)]))
     table = harness.survival_compare(gdef, names, config, kstar=args.kstar)
     table.to_csv(args.out or sys.stdout)
     return EXIT_OK
@@ -274,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sigma_args(p)
     p.add_argument("--input", required=True, help="CSV of z-scores or p-values")
     p.add_argument("--kind", choices=["z", "p"], default="z")
-    p.add_argument("--method", choices=list(methods.METHODS), help="default: hyb, or mr for one-sided input")
+    p.add_argument("--method", choices=list(methods.METHODS), help="default: hyb if two-sided with integer d, else mr")
     p.add_argument("--reps", type=int, help="replicates for simulated moments (mr, ggd*)")
     p.add_argument("--qf-acc", dest="qf_acc", type=float, default=qform.DEFAULT_QF_ACC)
     _add_common(p)
@@ -303,8 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stat", help="statistic JSON (single-statistic mode)")
     p.add_argument("--defs", help="JSON array of definitions (omnibus mode)")
     _add_sigma_args(p)
-    p.add_argument("--method", help="approximation tag (default hyb, or mr if one-sided), or cc/minp with --defs")
-    p.add_argument("--component-method", dest="component_method", help="with --defs; default hyb, or mr if one-sided")
+    p.add_argument("--method", help="approximation tag (default hyb if two-sided, integer d; else mr), or cc/minp")
+    p.add_argument("--component-method", dest="component_method", help="with --defs; default per definition, as --method")
     p.add_argument("--reps", type=int, default=1_000_000)
     p.add_argument("--alphas", default="1e-2,1e-3")
     p.add_argument("--model", choices=["gmm", "mvt"], default="gmm")
@@ -316,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("survival", help="method survival curves along empirical quantiles")
     p.add_argument("--stat", required=True)
     _add_sigma_args(p)
-    p.add_argument("--methods", help="comma-separated; default: gb,mr, plus hyb for two-sided input")
+    p.add_argument("--methods", help="comma-separated; default: gb,mr, plus hyb if two-sided with integer d")
     p.add_argument("--reps", type=int, default=1_000_000)
     p.add_argument("--model", choices=["gmm", "mvt"], default="gmm")
     p.add_argument("--df", type=float, default=10.0)

@@ -35,7 +35,6 @@ __all__ = [
     "CovSeries",
     "cov_matrix",
     "cov_series",
-    "cov_summands",
     "gen_structure",
     "hermite_coeff",
     "nearest_correlation",
@@ -128,28 +127,6 @@ def _coeff_table(defs, side: Side, kstar: int) -> list[np.ndarray]:
     looked up once per distinct d (the n* x k* economy)."""
     table = {d: _coeffs(d, side, 1, kstar) for d in set(float(x) for g in defs for x in g.degrees)}
     return [np.array([table[float(d)] for d in g.degrees]).T for g in defs]
-
-
-def cov_summands(
-    d_i: float,
-    d_j: float,
-    sigma_ij: float,
-    side: Side,
-    kstar: int = DEFAULT_KSTAR,
-) -> float:
-    """Truncated covariance series sum_{k<=kstar} sigma^k / k! * I_i(k) I_j(k)."""
-    if kstar < 1:
-        raise ValueError("kstar must be >= 1")
-    if not -1.0 <= sigma_ij <= 1.0:
-        raise ValueError("correlation must lie in [-1, 1]")
-    total = 0.0
-    log_fact = 0.0
-    for k in range(1, kstar + 1):
-        log_fact += np.log(k)
-        ii = hermite_coeff(d_i, k, side)
-        jj = hermite_coeff(d_j, k, side)
-        total += sigma_ij**k / np.exp(log_fact) * ii * jj
-    return float(total)
 
 
 # per definition, the summand covariance matrix and the truncation diagnostic;

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import dependence, methods, omnibus
-from .kernels import PROB_CLAMP_HI, PROB_CLAMP_LO, chisq_inv_sf
+from .kernels import PROB_CLAMP_HI, PROB_CLAMP_LO
 from .statistic import GFisherDef, evaluate, z_to_pvalues
 from .surrogates import MomentSummary
 
@@ -26,7 +26,6 @@ __all__ = [
     "TIEReport",
     "empirical_moments",
     "empirical_tie",
-    "inflation_factor",
     "simulated_moments",
     "survival_compare",
 ]
@@ -323,7 +322,7 @@ def _invert_minp_level(panel, alpha: float, seed: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Survival curves and inflation factors
+# Survival curves
 # ---------------------------------------------------------------------------
 
 SURVIVAL_QUANTILES = 1.0 - np.logspace(np.log10(0.5), -4, 40)  # up to the 0.9999 quantile
@@ -384,21 +383,3 @@ def survival_compare(
         empirical_neglog10=-np.log10(np.clip(1.0 - SURVIVAL_QUANTILES, PROB_CLAMP_LO, 1.0)),
         method_neglog10=table,
     )
-
-
-def inflation_factor(pvalues, p_grid=(0.5, 0.1, 0.01)) -> np.ndarray:
-    """Percentile-dependent inflation factor of a p-value collection.
-
-    lambda(p) is the ratio of the chi2_1 upper quantile at the observed
-    100p-th percentile of the p-values to the one at p itself; uniformly
-    distributed p-values give lambda = 1 at every percentile.
-    """
-    p = np.asarray(pvalues, dtype=float)
-    if p.size == 0:
-        raise ValueError("need at least one p-value")
-    grid = np.asarray(p_grid, dtype=float)
-    if np.any((grid <= 0) | (grid > 0.5)):
-        raise ValueError("percentiles must lie in (0, 0.5]")
-    observed = np.quantile(p, grid)
-    observed = np.clip(observed, PROB_CLAMP_LO, PROB_CLAMP_HI)
-    return chisq_inv_sf(observed, 1.0) / chisq_inv_sf(grid, 1.0)

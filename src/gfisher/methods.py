@@ -19,12 +19,11 @@ from .kernels import PROB_CLAMP_LO, gamma_sf
 from .statistic import GFisherDef, InputPanel, PValueResult, evaluate, to_pvalues
 from .surrogates import MomentSummary
 
-__all__ = ["METHODS", "NullApprox", "compute_pvalue", "fit_null"]
+__all__ = ["METHODS", "NullApprox", "compute_pvalue", "default_method", "fit_null"]
 
 METHODS = ("gb", "mr", "q", "hyb", "ggd123", "ggd234", "ggdmr")
 
 _NEEDS_MOMENTS = {"mr": "skewness/kurtosis", "ggd123": "skewness", "ggd234": "skewness/kurtosis", "ggdmr": "skewness/kurtosis"}
-_TWO_SIDED_ONLY = ("q", "hyb")
 
 
 @dataclass
@@ -60,13 +59,20 @@ def _gamma_survival(shape: float, mu: float, sd: float) -> Callable[[np.ndarray]
     return surv
 
 
-def _check(gdef: GFisherDef, method: str, moments: MomentSummary | None) -> str:
-    """The lowercased method, after checking that it can be fitted for this definition."""
-    method = method.lower()
+def default_method(gdef: GFisherDef) -> str:
+    """The method used when none is named: hyb where the quadratic-form surrogate
+    covers the definition (two-sided input, integer degrees), else mr."""
+    return "hyb" if gdef.side == "two" and gdef.has_integer_degrees else "mr"
+
+
+def _check(gdef: GFisherDef, method: str | None, moments: MomentSummary | None) -> str:
+    """The lowercased method (``default_method`` for None), after checking that
+    it can be fitted for this definition."""
+    method = default_method(gdef) if method is None else method.lower()
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method in _TWO_SIDED_ONLY and gdef.side != "two":
-        raise ValueError(f"method {method!r} requires two-sided input p-values")
+    if method in ("q", "hyb"):
+        qform._require_two_sided_integer(gdef)
     if method in _NEEDS_MOMENTS and moments is None:
         raise ValueError(
             f"method {method!r} needs a MomentSummary with {_NEEDS_MOMENTS[method]} "
@@ -78,18 +84,19 @@ def _check(gdef: GFisherDef, method: str, moments: MomentSummary | None) -> str:
 def fit_null(
     gdef: GFisherDef,
     sigma,
-    method: str = "hyb",
+    method: str | None = None,
     *,
     kstar: int = dependence.DEFAULT_KSTAR,
     moments: MomentSummary | None = None,
     qf_acc: float = qform.DEFAULT_QF_ACC,
 ) -> NullApprox:
-    """Fit one approximation method for a statistic under a correlation matrix.
+    """Fit one approximation method (``default_method`` when None) for a
+    statistic under a correlation matrix.
 
     ``moments`` supplies skewness/kurtosis (and overrides mean/variance) for
     the methods that need them: required for mr/ggd123/ggd234/ggdmr. The
     q and hyb methods are restricted to two-sided inputs with integer
-    degrees of freedom.
+    degrees of freedom, which is checked before the covariance series.
     """
     method = _check(gdef, method, moments)
     covs, last_terms, _ = dependence.cov_series([gdef], sigma, kstar)
@@ -142,12 +149,9 @@ def _fit(gdef, sigma, method: str, cov, last_term: float, kstar: int, moments, q
             diag["mr_fallback_gb"] = sur.degenerate_fallback
         return NullApprox(method, gdef, _gamma_survival(sur.shape, m.mu, m.sd), diag)
 
-    # generalized-gamma variants, by the names fit_ggd knows them
-    variant = {"ggd123": "m123", "ggd234": "m234", "ggdmr": "mr"}[method]
-    sur = surrogates.fit_ggd(moments, variant)  # raises NoSolutionError when unsolved
+    sur = surrogates.fit_ggd(moments, method)  # raises NoSolutionError when unsolved
     diag.update(
         {
-            "variant": variant,
             "params": [sur.shape, sur.scale, sur.power, sur.loc],
             "fit_residual": sur.residual,
             "moment_source": moments.source,
@@ -167,7 +171,7 @@ def compute_pvalue(
     sigma,
     values,
     kind: str = "z",
-    method: str = "hyb",
+    method: str | None = None,
     *,
     kstar: int = dependence.DEFAULT_KSTAR,
     moments: MomentSummary | None = None,

@@ -35,12 +35,6 @@ MINP_MAX_POINTS = 10_000_000
 MINP_BATCHES = 24  # scrambled Sobol batches behind each rectangle error estimate
 
 
-def _default_method(side: str) -> str:
-    # one-sided inputs have no quadratic-form surrogate; moment-ratio with
-    # empirical moments is the accurate general path there
-    return "hyb" if side == "two" else "mr"
-
-
 @dataclass
 class OmnibusPanel:
     """Fitted component methods plus the cross-covariance of the components."""
@@ -65,36 +59,30 @@ class OmnibusPanel:
 def build_panel(
     defs: Sequence[GFisherDef],
     sigma,
-    method: str | Sequence[str] | None = None,
+    method: str | None = None,
     *,
     kstar: int = dependence.DEFAULT_KSTAR,
     moments: Sequence[MomentSummary | None] | None = None,
     qf_acc: float = qform.DEFAULT_QF_ACC,
 ) -> OmnibusPanel:
-    """Validate the definitions, fit each component, and build the cross covariance."""
+    """Validate the definitions, fit each component, and build the cross covariance.
+
+    Every component is fitted with ``method``, or with its own
+    ``methods.default_method`` when None.
+    """
     defs = list(defs)
     if not defs:
         raise ValueError("need at least one statistic definition")
-    side = defs[0].side  # cov_series checks that all definitions share n and sidedness
-    m = len(defs)
-    if method is None:
-        tags = [_default_method(side)] * m
-    elif isinstance(method, str):
-        tags = [method] * m
-    else:
-        tags = list(method)
-        if len(tags) != m:
-            raise ValueError("one method tag per definition required")
     if moments is None:
-        moments = [None] * m
-    if len(moments) != m:
+        moments = [None] * len(defs)
+    if len(moments) != len(defs):
         raise ValueError("one moment summary (or None) per definition required")
 
-    checked = [methods._check(g, tag, mom) for g, tag, mom in zip(defs, tags, moments)]
+    tags = [methods._check(g, method, mom) for g, mom in zip(defs, moments)]
     covs, last_terms, omega = dependence.cov_series(defs, sigma, kstar, cross=True)
     fitted = [
         methods._fit(g, sigma, tag, cov, last, kstar, mom, qf_acc)
-        for g, tag, cov, last, mom in zip(defs, checked, covs, last_terms, moments)
+        for g, tag, cov, last, mom in zip(defs, tags, covs, last_terms, moments)
     ]
     scale = 1.0 / np.sqrt(np.diag(omega))
     corr = omega * np.outer(scale, scale)

@@ -144,7 +144,7 @@ class GGDSurrogate:
     power: float
     loc: float = 0.0
     residual: float = 0.0
-    variant: str = "m123"
+    variant: str = "ggd123"
 
     def __post_init__(self):
         if min(self.shape, self.scale, self.power) <= 0:
@@ -252,88 +252,75 @@ def _bracket_guard(a: float, p: float) -> bool:
     return 1e-8 < a < 1e8 and GGD_POWER_LO <= p <= GGD_POWER_HI
 
 
-def fit_ggd(m: MomentSummary, variant: Literal["m123", "m234", "mr"] = "m123") -> GGDSurrogate:
-    """Fit a generalized gamma by one of three matching rules.
+def fit_ggd(m: MomentSummary, variant: Literal["ggd123", "ggd234", "ggdmr"] = "ggd123") -> GGDSurrogate:
+    """Fit a generalized gamma by one of three matching rules, named by method tag.
 
-    m123: first three raw moments (location fixed at 0).
-    m234: variance, skewness, kurtosis, then location c = mu_T - mu_fit.
-    mr:   mean, standard deviation, and the skewness / excess-kurtosis ratio.
+    ggd123: first three raw moments (location fixed at 0).
+    ggd234: variance, skewness, kurtosis, then location c = mu_T - mu_fit.
+    ggdmr:  mean, standard deviation, and the skewness / excess-kurtosis ratio.
 
     The scale is eliminated through scale-free ratios, leaving a 2-D system in
     (shape, power) solved by damped Newton with multistart; raises
     ``NoSolutionError`` when no root reaches the residual tolerance.
     """
     variant = variant.lower()
-    if variant == "m123":
+    if variant == "ggd123":
         m1, m2, m3 = m.raw_moments()
         if min(m1, m2, m3) <= 0:
             raise ValueError("raw moments must be positive")
         targ2, targ3 = m2 / m1**2, m3 / m1**3
 
-        def eqs(x):
-            a, p = np.exp(np.minimum(x, 60.0))
-            if not _bracket_guard(a, p):
-                return np.array([np.inf, np.inf])
+        def eqs(a, p):
             l1 = _log_norm_moment(a, p, 1)
             r2 = np.exp(_log_norm_moment(a, p, 2) - 2 * l1)
             r3 = np.exp(_log_norm_moment(a, p, 3) - 3 * l1)
             return np.array([r2 / targ2 - 1.0, r3 / targ3 - 1.0])
 
-        x, resid = _solve_ap(eqs)
-        if x is None or resid > GGD_RESID_TOL:
-            raise NoSolutionError(
-                f"m123 moment equations unsolved (residual {resid:.3e})", resid
-            )
-        a, p = np.exp(x)
-        theta = m1 / np.exp(_log_norm_moment(a, p, 1))
-        return GGDSurrogate(a, theta, p, 0.0, resid, variant)
+        def scale_loc(a, p):
+            return m1 / np.exp(_log_norm_moment(a, p, 1)), 0.0
 
-    if variant == "m234":
+    elif variant == "ggd234":
         m.require_shape_moments()
         skew_t, exk_t = float(m.skew), float(m.exkurt)
 
-        def eqs(x):
-            a, p = np.exp(np.minimum(x, 60.0))
-            if not _bracket_guard(a, p):
-                return np.array([np.inf, np.inf])
+        def eqs(a, p):
             _, _, sk, ek = _central_stats(a, p)
             return np.array([sk - skew_t, ek - exk_t])
 
-        x, resid = _solve_ap(eqs)
-        if x is None or resid > GGD_RESID_TOL:
-            raise NoSolutionError(
-                f"m234 moment equations unsolved (residual {resid:.3e})", resid
-            )
-        a, p = np.exp(x)
-        m1n, sdn, _, _ = _central_stats(a, p)
-        theta = m.sd / sdn
-        loc = m.mu - theta * m1n
-        return GGDSurrogate(a, theta, p, loc, resid, variant)
+        def scale_loc(a, p):
+            m1n, sdn, _, _ = _central_stats(a, p)
+            theta = m.sd / sdn
+            return theta, m.mu - theta * m1n
 
-    if variant == "mr":
+    elif variant == "ggdmr":
         m.require_shape_moments()
         if abs(float(m.exkurt)) < MR_DEGENERATE_EPS:
             raise NoSolutionError("moment-ratio target is degenerate (excess kurtosis ~ 0)")
         ratio_t = float(m.skew) / float(m.exkurt)
         musd_t = m.mu / m.sd
 
-        def eqs(x):
-            a, p = np.exp(np.minimum(x, 60.0))
-            if not _bracket_guard(a, p):
-                return np.array([np.inf, np.inf])
+        def eqs(a, p):
             m1n, sdn, sk, ek = _central_stats(a, p)
             if not np.isfinite(sdn) or abs(ek) < 1e-14:
                 return np.array([np.inf, np.inf])
             return np.array([sk / ek - ratio_t, m1n / sdn - musd_t])
 
-        x, resid = _solve_ap(eqs)
-        if x is None or resid > GGD_RESID_TOL:
-            raise NoSolutionError(
-                f"moment-ratio GGD equations unsolved (residual {resid:.3e})", resid
-            )
-        a, p = np.exp(x)
-        _, sdn, _, _ = _central_stats(a, p)
-        theta = m.sd / sdn
-        return GGDSurrogate(a, theta, p, 0.0, resid, variant)
+        def scale_loc(a, p):
+            _, sdn, _, _ = _central_stats(a, p)
+            return m.sd / sdn, 0.0
 
-    raise ValueError(f"unknown GGD variant {variant!r}")
+    else:
+        raise ValueError(f"unknown GGD variant {variant!r}")
+
+    def bracketed(x):
+        a, p = np.exp(np.minimum(x, 60.0))
+        if not _bracket_guard(a, p):
+            return np.array([np.inf, np.inf])
+        return eqs(a, p)
+
+    x, resid = _solve_ap(bracketed)
+    if x is None or resid > GGD_RESID_TOL:
+        raise NoSolutionError(f"{variant} moment equations unsolved (residual {resid:.3e})", resid)
+    a, p = np.exp(x)
+    theta, loc = scale_loc(a, p)
+    return GGDSurrogate(a, theta, p, loc, resid, variant)

@@ -11,7 +11,7 @@ import pytest
 from scipy.special import expit, ndtr
 
 from gfisher import dependence, harness, methods, omnibus, qform
-from gfisher.dependence import cov_summands, gen_structure, nearest_correlation
+from gfisher.dependence import cov_matrix, gen_structure, nearest_correlation
 from gfisher.kernels import chisq_inv_sf
 from gfisher.statistic import GFisherDef, evaluate, transform
 from gfisher.surrogates import MomentSummary, NoSolutionError, fit_ggd
@@ -38,7 +38,8 @@ def independent_sum_moments(gdef: GFisherDef) -> MomentSummary:
 def test_criterion_01_one_sided_cubic_coefficients():
     """Cubic fit of the one-sided d=2 covariance over the correlation grid."""
     grid = np.arange(-0.98, 0.9801, 0.02)
-    vals = np.array([cov_summands(2.0, 2.0, s, "one", kstar=3) for s in grid])
+    g2 = GFisherDef(degrees=[2.0, 2.0], side="one")
+    vals = np.array([cov_matrix(g2, [[1.0, s], [s, 1.0]], 3)[0, 1] for s in grid])
     design = np.column_stack([grid, grid**2, grid**3])
     coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
     target = np.array([3.263, 0.710, 0.027])
@@ -96,7 +97,7 @@ def test_criterion_04_covariance_monte_carlo():
                 t = transform(g2, u)
                 prod = (t[:, 0] - t[:, 0].mean()) * (t[:, 1] - t[:, 1].mean())
                 mc, se = prod.mean(), prod.std(ddof=1) / np.sqrt(nreps)
-                analytic = cov_summands(d, d, s, side, kstar=12)
+                analytic = cov_matrix(g2, [[1.0, s], [s, 1.0]], 12)[0, 1]
                 worst_ratio = max(worst_ratio, abs(analytic - mc) / se)
     ok = worst_ratio <= 3.0
     report(4, "covariance series vs 1e6-replicate simulation", ok, f"max |dev|/se={worst_ratio:.2f}")
@@ -188,7 +189,7 @@ def test_criterion_08_ggd_recovery_and_failures():
         var = m2 - m1**2
         skew = (m3 - 3 * m1 * m2 + 2 * m1**3) / var**1.5
         exk = (m4 - 4 * m1 * m3 + 6 * m1**2 * m2 - 3 * m1**4) / var**2 - 3
-        sur = fit_ggd(MomentSummary(m1, var, skew, exk), "m123")
+        sur = fit_ggd(MomentSummary(m1, var, skew, exk), "ggd123")
         worst = max(
             worst, abs(sur.shape - a0), abs(sur.scale - th0), abs(sur.power - p0)
         )
@@ -200,7 +201,7 @@ def test_criterion_08_ggd_recovery_and_failures():
         sigma = gen_structure("equal", "III", 10, rho)
         config = harness.SimConfig(sigma=sigma, nreps=1_000_000, seed=88, model=model)
         mom = harness.empirical_moments(g, config)
-        for variant in ("m123", "m234", "mr"):
+        for variant in ("ggd123", "ggd234", "ggdmr"):
             try:
                 fit_ggd(mom, variant)
             except NoSolutionError as exc:

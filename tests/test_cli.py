@@ -179,26 +179,47 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["pvalue", "omnibus", "simulate-tie", "survival"])
     def test_default_methods_accept_one_sided_input(self, workdir, capsys, command):
-        # hyb needs two-sided input; every default follows the statistic's side (mr here)
-        stat = workdir / "one.json"
-        stat.write_text(json.dumps({"degrees": [2, 2, 2], "side": "one"}))
-        defs = workdir / "defs.json"
-        defs.write_text(json.dumps([{"degrees": [2, 2, 2], "side": "one"}]))
-        given = {
-            "pvalue": ["--stat", str(stat), "--input", str(workdir / "p.csv"), "--kind", "p"],
-            "omnibus": ["--defs", str(defs), "--input", str(workdir / "p.csv"), "--kind", "p"],
-            "simulate-tie": ["--stat", str(stat), "--reps", "2000", "--alphas", "0.05"],
-            "survival": ["--stat", str(stat), "--reps", "2000"],
-        }[command]
-        code = main([command, "--structure", "equal:0.5:III", *given])
-        assert code == 0
-        out = capsys.readouterr().out
-        if command == "survival":
-            assert out.splitlines()[0] == "quantile,statistic,empirical,gb,mr"
-        elif command == "omnibus":
-            assert json.loads(out)["methods"] == ["mr"]
-        else:
-            assert json.loads(out)["manifest"]["method"] == "mr"
+        # hyb needs two-sided input with integer degrees; every default follows
+        # the definition, so one-sided input and two-sided d = 3.5 both get mr
+        for spec in ({"degrees": [2, 2, 2], "side": "one"}, {"degrees": [3.5, 3.5, 3.5], "side": "two"}):
+            stat = workdir / "one.json"
+            stat.write_text(json.dumps(spec))
+            defs = workdir / "defs.json"
+            defs.write_text(json.dumps([spec]))
+            given = {
+                "pvalue": ["--stat", str(stat), "--input", str(workdir / "p.csv"), "--kind", "p"],
+                "omnibus": ["--defs", str(defs), "--input", str(workdir / "p.csv"), "--kind", "p"],
+                "simulate-tie": ["--stat", str(stat), "--reps", "2000", "--alphas", "0.05"],
+                "survival": ["--stat", str(stat), "--reps", "2000"],
+            }[command]
+            code = main([command, "--structure", "equal:0.5:III", *given])
+            assert code == 0, spec
+            out = capsys.readouterr().out
+            if command == "survival":
+                assert out.splitlines()[0] == "quantile,statistic,empirical,gb,mr"
+            elif command == "omnibus":
+                assert json.loads(out)["methods"] == ["mr"]
+            else:
+                assert json.loads(out)["manifest"]["method"] == "mr"
+
+    def test_sigma_and_structure_exclusive(self, workdir, capsys):
+        # a second spelling of sigma could only agree or be ignored: it fails instead
+        code = main(
+            [
+                "pvalue",
+                "--stat", str(workdir / "stat.json"),
+                "--sigma", str(workdir / "sigma.csv"),
+                "--structure", "equal:0.9:III",
+                "--input", str(workdir / "p.csv"),
+                "--kind", "p",
+                "--method", "gb",
+            ]
+        )
+        assert code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"]["type"] == "invalid_input"
+        assert "--sigma" in payload["error"]["message"]
+        load_schema_validator("error.schema.json").validate(payload)
 
     def test_manifest_keys_are_options(self):
         # a deleted option cannot leave a stale key in the manifest
@@ -471,7 +492,7 @@ class TestSimulateCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["counts"] == [960, 189]
         assert payload["config"]["side"] == "one"
-        assert payload["manifest"]["component_method"] == "mr"
+        assert payload["manifest"]["component_method"] == ["mr", "mr"]
 
     def test_structure_takes_n_from_definition(self, workdir, capsys):
         base = ["simulate-tie", "--stat", str(workdir / "stat.json"), "--structure", "equal:0.5:III"]

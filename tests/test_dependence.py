@@ -11,7 +11,6 @@ from gfisher.dependence import (
     CorrMatrix,
     cov_matrix,
     cov_series,
-    cov_summands,
     gen_structure,
     hermite_coeff,
     nearest_correlation,
@@ -72,6 +71,11 @@ class TestCoefficientQuadrature:
                     hermite_coeff(d, k, side)
                 for d2 in (1.0, 2.0, 3.5):
                     transform_product_moment(d, d2, side)
+
+
+def cov_summands(d1, d2, s, side, kstar=dependence.DEFAULT_KSTAR):
+    """The series for one summand pair: the off-diagonal entry of a 2 x 2 covariance matrix."""
+    return cov_matrix(GFisherDef([d1, d2], side=side), [[1.0, s], [s, 1.0]], kstar)[0, 1]
 
 
 class TestCovSummands:

@@ -1,4 +1,4 @@
-"""Null samplers, empirical error rates, moments, survival curves, inflation."""
+"""Null samplers, empirical error rates, moments, survival curves."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from gfisher.harness import (
     SimConfig,
     empirical_moments,
     empirical_tie,
-    inflation_factor,
     survival_compare,
 )
 from gfisher.kernels import PROB_CLAMP_LO
@@ -307,31 +306,3 @@ class TestSurvivalCompare:
             null = methods.fit_null(g, config.sigma, name, moments=None if name == "gb" else mom)
             p = np.clip(np.asarray(null.survival(table.statistic_values)), PROB_CLAMP_LO, 1.0)
             assert np.array_equal(table.method_neglog10[name], -np.log10(p)), name
-
-
-class TestInflationFactor:
-    def test_uniform_grid_is_unity(self):
-        p = np.linspace(1e-6, 1.0 - 1e-6, 100_001)
-        lam = inflation_factor(p, [0.5])
-        assert lam[0] == pytest.approx(1.0, abs=1e-4)
-
-    def test_halved_pvalues_frozen_value(self):
-        # frozen: chi2 quantile ratio at the median for p-values halved
-        p = np.linspace(1e-6, 1.0 - 1e-6, 100_001) / 2.0
-        lam = inflation_factor(p, [0.5])
-        assert lam[0] == pytest.approx(2.9087662136554395, rel=1e-3)
-
-    def test_uniform_draws_near_one(self):
-        rng = np.random.default_rng(15)
-        p = rng.uniform(size=100_000)
-        lam = inflation_factor(p, [0.5, 0.1, 0.01])
-        # bootstrap-scale tolerance at 1e5 draws
-        assert np.all(np.abs(lam - 1.0) < 0.05)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            inflation_factor([], [0.5])
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            inflation_factor([0.5], [0.7])

@@ -74,6 +74,30 @@ class TestNanStatistic:
         assert np.all((p[1:] > 0.0) & (p[1:] <= 1.0))
 
 
+class TestDefaultMethod:
+    def test_rule_reads_side_and_degrees(self):
+        assert methods.default_method(GFisherDef.fisher(3)) == "hyb"
+        assert methods.default_method(GFisherDef.fisher(3, side="one")) == "mr"
+        assert methods.default_method(GFisherDef(degrees=[2.0, 3.5, 2.0], side="two")) == "mr"
+
+    def test_none_fits_the_default(self):
+        g = GFisherDef.fisher(5)
+        assert methods.fit_null(g, SIGMA).method == "hyb"
+        assert methods.compute_pvalue(g, SIGMA, Z).pvalue == methods.compute_pvalue(g, SIGMA, Z, method="hyb").pvalue
+
+    @pytest.mark.parametrize("method", ["q", "hyb"])
+    def test_qform_pairing_fails_before_the_series(self, monkeypatch, method):
+        # a two-sided d = 3.5 definition has no quadratic-form surrogate: the
+        # check comes before the covariance-series pass, not after it
+        def no_series(*args, **kwargs):
+            raise AssertionError("cov_series ran")
+
+        monkeypatch.setattr(methods.dependence, "cov_series", no_series)
+        g = GFisherDef(degrees=[3.5] * 5, side="two")
+        with pytest.raises(ValueError, match="integer degrees"):
+            methods.fit_null(g, SIGMA, method)
+
+
 def cauchy_sf_scalar(x: float) -> float:
     """The scalar three-branch Cauchy survival, the reference for the vectorized one."""
     if x > 1.0:

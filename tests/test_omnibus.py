@@ -14,6 +14,7 @@ from gfisher.omnibus import (
     pvalue_cc,
 )
 from gfisher.statistic import GFisherDef
+from gfisher.surrogates import MomentSummary
 
 
 @pytest.fixture(scope="module")
@@ -233,6 +234,16 @@ def test_one_sided_panel_with_empirical_moments():
     assert np.all((pj > 0) & (pj < 1))
     out = omnibus_pvalues(panel, np.array([0.5, 1.0, -0.2, 2.0]))
     assert 0.0 <= out["minp"].pvalue <= 1.0
+
+
+def test_default_method_per_definition():
+    # hyb where the quadratic-form surrogate covers the definition, mr elsewhere
+    defs = [GFisherDef(degrees=[d] * 4, side="two") for d in (1.0, 2.0, 3.5)]
+    sigma = dependence.gen_structure("equal", "III", 4, 0.3)
+    mom = MomentSummary(mu=14.0, var=30.0, skew=1.0, exkurt=1.5)
+    panel = build_panel(defs, sigma, moments=[None, None, mom])
+    assert panel.method_tags == ["hyb", "hyb", "mr"]
+    assert [null.method for null in panel.fitted] == panel.method_tags
 
 
 @pytest.mark.slow

@@ -1,13 +1,13 @@
 """One covariance-series pass per fit: the fit paths agree exactly with the public pieces."""
 
 import tracemalloc
-from math import lgamma
+from math import factorial, lgamma
 
 import numpy as np
 import pytest
 
 from gfisher import dependence, methods, omnibus, qform
-from gfisher.dependence import cov_matrix, cov_series, cov_summands, gen_structure
+from gfisher.dependence import cov_matrix, cov_series, gen_structure, hermite_coeff
 from gfisher.statistic import GFisherDef
 from gfisher.kernels import gamma_sf
 from gfisher.surrogates import MomentSummary, fit_gb, fit_mr
@@ -104,6 +104,14 @@ class TestPanelSeries:
         defs = [GFisherDef(degrees=np.full(5, d), side="one") for d in (1.0, 2.0, 3.5)]
         panel = omnibus.build_panel(defs, sigma, method="gb")
         assert np.array_equal(panel.omega, cov_series(defs, sigma, cross=True).omega)
+
+
+def cov_summands(d_i, d_j, sigma_ij, side, kstar):
+    """Reference series sum_{k<=kstar} sigma^k / k! * I_i(k) I_j(k), order by order."""
+    return sum(
+        sigma_ij**k / factorial(k) * hermite_coeff(d_i, k, side) * hermite_coeff(d_j, k, side)
+        for k in range(1, kstar + 1)
+    )
 
 
 class TestOddOrdersSkipped:

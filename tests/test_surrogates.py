@@ -112,13 +112,13 @@ class TestFitGGD:
         m1 = a0 * th0
         var = a0 * th0**2
         skew = 2.0 / np.sqrt(a0)
-        sur = fit_ggd(MomentSummary(m1, var, skew, 6.0 / a0), "m123")
+        sur = fit_ggd(MomentSummary(m1, var, skew, 6.0 / a0), "ggd123")
         assert sur.shape == pytest.approx(5.0, abs=1e-6)
         assert sur.scale == pytest.approx(2.0, abs=1e-6)
         assert sur.power == pytest.approx(1.0, abs=1e-6)
 
     def test_recovers_chi2_4(self):
-        sur = fit_ggd(chi2_moments(4.0), "m123")
+        sur = fit_ggd(chi2_moments(4.0), "ggd123")
         assert sur.shape == pytest.approx(2.0, abs=1e-6)
         assert sur.scale == pytest.approx(2.0, abs=1e-6)
         assert sur.power == pytest.approx(1.0, abs=1e-6)
@@ -129,12 +129,12 @@ class TestFitGGD:
         var = m2 - m1**2
         skew = (m3 - 3 * m1 * m2 + 2 * m1**3) / var**1.5
         exk = (m4 - 4 * m1 * m3 + 6 * m1**2 * m2 - 3 * m1**4) / var**2 - 3
-        for variant in ("m123", "m234", "mr"):
+        for variant in ("ggd123", "ggd234", "ggdmr"):
             sur = fit_ggd(MomentSummary(m1, var, skew, exk), variant)
             assert sur.shape == pytest.approx(a0, abs=1e-5), variant
             assert sur.power == pytest.approx(p0, abs=1e-5), variant
             assert sur.scale == pytest.approx(th0, abs=1e-5), variant
-            if variant == "m234":
+            if variant == "ggd234":
                 assert sur.loc == pytest.approx(0.0, abs=1e-6)
 
     def test_heavy_tail_target_has_no_solution(self):
@@ -142,7 +142,7 @@ class TestFitGGD:
         # modest skewness) cannot be matched within the power bracket
         m = MomentSummary(mu=23.0, var=300.0, skew=3.8, exkurt=36.7)
         with pytest.raises(NoSolutionError) as info:
-            fit_ggd(m, "m234")
+            fit_ggd(m, "ggd234")
         assert info.value.residual is not None and info.value.residual > 1e-8
 
 
