@@ -36,7 +36,6 @@ __all__ = [
     "cov_matrix",
     "cov_series",
     "gen_structure",
-    "hermite_coeff",
     "nearest_correlation",
     "transform_product_moment",
 ]
@@ -86,20 +85,6 @@ def _coeffs(d: float, side: str, lo: int, hi: int) -> np.ndarray:
     g = _grid(float(d), side)
     _certify(g.err[lo - 1 : hi].max(initial=0.0), f"I({lo}..{hi}) at d = {d:g}, side {side!r}")
     return g.coeffs[lo - 1 : hi]
-
-
-def hermite_coeff(d: float, k: int, side: Side) -> float:
-    """The k-th Hermite coefficient I(k) of the transform for one d.
-
-    For two-sided inputs the transform is an even function of z, so odd-order
-    coefficients vanish identically and are returned as exact zeros.
-    """
-    validate_side(side)
-    if k < 1:
-        raise ValueError("order k must be >= 1")
-    if d <= 0:
-        raise ValueError("degrees of freedom must be > 0")
-    return float(_coeffs(d, side, int(k), int(k))[0])
 
 
 def transform_product_moment(d1: float, d2: float, side: Side) -> float:

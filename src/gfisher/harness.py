@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import dependence, methods, omnibus
-from .kernels import PROB_CLAMP_HI, PROB_CLAMP_LO
+from .kernels import PROB_CLAMP_LO
 from .statistic import GFisherDef, evaluate, z_to_pvalues
 from .surrogates import MomentSummary
 
@@ -85,6 +85,24 @@ class SimConfig:
             z /= np.sqrt(rng.chisquare(self.df, size=size) / self.df)[:, None]
         return z
 
+    def map_batches(self, fn, nreps: int | None = None, *, stream: int = 0, threads: int = 1) -> list:
+        """``fn`` of each replicate batch's z-scores, in batch order.
+
+        ``threads`` > 1 draws and maps the batches on a thread pool; the
+        results are the same. ``fn`` should reduce its batch, since every
+        result is kept until the last batch is done.
+        """
+
+        def run(job):
+            b, size = job
+            return fn(self.draw(b, size, stream))
+
+        jobs = self.batches(nreps)
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                return list(pool.map(run, jobs))
+        return [run(j) for j in jobs]
+
 
 # ---------------------------------------------------------------------------
 # Empirical moments
@@ -101,16 +119,13 @@ def empirical_moments(gdef: GFisherDef, config: SimConfig, nreps: int | None = N
     if total < 100:
         raise ValueError("at least 100 replicates are required for moment estimation")
     shift = gdef.mean
-    sums = np.zeros(4)
-    count = 0
-    for b, size in config.batches(total):
-        t = evaluate(gdef, z_to_pvalues(config.draw(b, size, stream=1), gdef.side)) - shift
-        sums += [t.sum(), (t**2).sum(), (t**3).sum(), (t**4).sum()]
-        count += size
-    m1 = sums[0] / count
-    m2 = sums[1] / count
-    m3 = sums[2] / count
-    m4 = sums[3] / count
+
+    def power_sums(z: np.ndarray) -> np.ndarray:
+        t = evaluate(gdef, z_to_pvalues(z, gdef.side)) - shift
+        return np.array([t.sum(), (t**2).sum(), (t**3).sum(), (t**4).sum()])
+
+    sums = sum(config.map_batches(power_sums, total, stream=1), np.zeros(4))  # in batch order
+    m1, m2, m3, m4 = sums / total
     var = m2 - m1**2
     mu3 = m3 - 3.0 * m1 * m2 + 2.0 * m1**3
     mu4 = m4 - 4.0 * m1 * m3 + 6.0 * m1**2 * m2 - 3.0 * m1**4
@@ -215,8 +230,11 @@ def empirical_tie(
     ``target`` is a statistic definition (method = one of the approximation
     tags) or an omnibus panel (method = 'cc' or 'minp'), whose sidedness
     turns replicates into p-values; a panel reports its own ``kstar``.
-    ``moments`` default to ``simulated_moments``. Streaming and deterministic
-    for a fixed configuration.
+    ``moments`` default to ``simulated_moments`` for a definition; a panel
+    takes none, since ``build_panel`` fitted its components. Every target
+    scores a batch (a p-value, or min-p's smallest component p-value) and
+    counts finite scores below one level per alpha; non-finite scores are
+    ``n_failures``. Streaming and deterministic for a fixed configuration.
     """
     alphas = np.asarray(sorted(alphas, reverse=True), dtype=float)
     if np.any((alphas <= 0) | (alphas >= 1)):
@@ -230,38 +248,45 @@ def empirical_tie(
         )
 
     if isinstance(target, omnibus.OmnibusPanel):
-        count_batch = _omnibus_counter(target, method, config, alphas)
-        tag = f"omnibus_{method}"
-        kstar = target.diagnostics["kstar"]
+        if method not in ("cc", "minp"):
+            raise ValueError("omnibus targets take method 'cc' or 'minp'")
+        if moments is not None:
+            raise ValueError("a panel's components are fitted by build_panel; pass moments there")
+        tag, kstar = f"omnibus_{method}", target.diagnostics["kstar"]
+        if method == "cc":
+            levels = alphas
+
+            def score(z: np.ndarray) -> np.ndarray:
+                return omnibus.cauchy_combination(omnibus.component_pvalues(target, z))[1]
+
+        else:
+            # the min-p omnibus p-value is monotone in the smallest component
+            # p-value, so each level inverts once to a threshold on min_j P(j)
+            levels = np.array([_invert_minp_level(target, a, config.seed) for a in alphas])
+
+            def score(z: np.ndarray) -> np.ndarray:
+                return omnibus.component_pvalues(target, z).min(axis=1)
+
     else:
         gdef: GFisherDef = target
         if moments is None:
             (moments,) = simulated_moments(gdef, [method], config)
         null = methods.fit_null(gdef, config.sigma, method, kstar=kstar, moments=moments)
+        levels, tag = alphas, method
 
-        def count_batch(z: np.ndarray) -> tuple[np.ndarray, int]:
-            t = evaluate(gdef, z_to_pvalues(z, gdef.side))
-            p = np.asarray(null.survival(t))
-            bad = int(np.count_nonzero(~np.isfinite(p)))
-            p = p[np.isfinite(p)]
-            return np.array([np.count_nonzero(p < a) for a in alphas]), bad
+        def score(z: np.ndarray) -> np.ndarray:
+            return np.asarray(null.survival(evaluate(gdef, z_to_pvalues(z, gdef.side))))
 
-        tag = method
+    def count(z: np.ndarray) -> tuple[np.ndarray, int]:
+        # rejections per level among the finite scores, and the non-finite ones
+        s = score(z)
+        finite = np.isfinite(s)
+        s = s[finite]
+        return np.array([np.count_nonzero(s < v) for v in levels]), int(np.count_nonzero(~finite))
 
-    jobs = config.batches()
-
-    def run(job):
-        b, size = job
-        return count_batch(config.draw(b, size))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(j) for j in jobs]
     counts = np.zeros(alphas.size, dtype=np.int64)
     failures = 0
-    for c, bad in results:  # batch order: deterministic reduction
+    for c, bad in config.map_batches(count, threads=threads):  # batch order: deterministic reduction
         counts += c
         failures += bad
     return TIEReport(
@@ -272,32 +297,6 @@ def empirical_tie(
         n_failures=failures,
         config=_config_echo(config, target.side, kstar),
     )
-
-
-def _omnibus_counter(panel, method: str, config: SimConfig, alphas: np.ndarray):
-    if method not in ("cc", "minp"):
-        raise ValueError("omnibus targets take method 'cc' or 'minp'")
-
-    if method == "cc":
-
-        def count_batch(z: np.ndarray) -> tuple[np.ndarray, int]:
-            pj = np.clip(omnibus.component_pvalues(panel, z), PROB_CLAMP_LO, PROB_CLAMP_HI)
-            p = omnibus.cauchy_sf(omnibus.cc_statistic(pj))
-            return np.array([np.count_nonzero(p < a) for a in alphas]), 0
-
-        return count_batch
-
-    # minp: the omnibus p-value is monotone in the smallest component p-value,
-    # so each level inverts once to a threshold on min_j P(j)
-    thresholds = np.array(
-        [_invert_minp_level(panel, a, config.seed) for a in alphas]
-    )
-
-    def count_batch(z: np.ndarray) -> tuple[np.ndarray, int]:
-        minp = omnibus.component_pvalues(panel, z).min(axis=1)
-        return np.array([np.count_nonzero(minp < t) for t in thresholds]), 0
-
-    return count_batch
 
 
 def _invert_minp_level(panel, alpha: float, seed: int) -> float:
@@ -365,11 +364,7 @@ def survival_compare(
 
     Every method is fitted on ``moments``, or without them on its ``simulated_moments``.
     """
-    draws = np.empty(config.nreps)
-    pos = 0
-    for b, size in config.batches():
-        draws[pos : pos + size] = evaluate(gdef, z_to_pvalues(config.draw(b, size), gdef.side))
-        pos += size
+    draws = np.concatenate(config.map_batches(lambda z: evaluate(gdef, z_to_pvalues(z, gdef.side))))
     t_q = np.quantile(draws, SURVIVAL_QUANTILES)
     fitted_on = simulated_moments(gdef, method_names, config) if moments is None else [moments] * len(method_names)
     table: dict[str, np.ndarray] = {}

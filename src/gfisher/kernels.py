@@ -18,7 +18,6 @@ __all__ = [
     "MAX_HERMITE_ORDER",
     "PROB_CLAMP_LO",
     "PROB_CLAMP_HI",
-    "chisq_inv_sf",
     "gamma_sf",
     "hermite",
 ]
@@ -111,16 +110,6 @@ def _chisq_isf(p, d: float):
     flat = p.ravel()
     t = np.where(flat < 1.0, 2.0 * _gamma_isf(d / 2.0, flat), 0.0)
     return t.reshape(p.shape)[()]
-
-
-def chisq_inv_sf(p, d: float):
-    """Upper-tail chi-square quantile, i.e. x with P(X > x) = p; tail-accurate for tiny p."""
-    if d <= 0:
-        raise ValueError("degrees of freedom must be > 0")
-    p = np.asarray(p, dtype=float)
-    if np.any(p <= 0.0) or np.any(p > 1.0):
-        raise ValueError("probability must lie in (0, 1]")
-    return _chisq_isf(p, float(d))
 
 
 def _check_gamma_params(shape, scale) -> None:

@@ -37,23 +37,27 @@ MINP_BATCHES = 24  # scrambled Sobol batches behind each rectangle error estimat
 
 @dataclass
 class OmnibusPanel:
-    """Fitted component methods plus the cross-covariance of the components."""
+    """Fitted component methods plus the correlation of the component statistics."""
 
-    defs: list[GFisherDef]
-    sigma: np.ndarray
     fitted: list[methods.NullApprox]
-    omega: np.ndarray
     corr: np.ndarray
-    method_tags: list[str]
     diagnostics: dict = field(default_factory=dict)
 
     @property
+    def defs(self) -> list[GFisherDef]:
+        return [null.gdef for null in self.fitted]
+
+    @property
+    def method_tags(self) -> list[str]:
+        return [null.method for null in self.fitted]
+
+    @property
     def m(self) -> int:
-        return len(self.defs)
+        return len(self.fitted)
 
     @property
     def side(self) -> str:
-        return self.defs[0].side
+        return self.fitted[0].gdef.side
 
 
 def build_panel(
@@ -65,7 +69,7 @@ def build_panel(
     moments: Sequence[MomentSummary | None] | None = None,
     qf_acc: float = qform.DEFAULT_QF_ACC,
 ) -> OmnibusPanel:
-    """Validate the definitions, fit each component, and build the cross covariance.
+    """Validate the definitions, fit each component, and correlate the component statistics.
 
     Every component is fitted with ``method``, or with its own
     ``methods.default_method`` when None.
@@ -92,7 +96,7 @@ def build_panel(
     if np.linalg.eigvalsh(corr)[0] < -1e-10:
         corr = dependence.nearest_correlation(corr)
         diag["corr_repaired"] = True
-    return OmnibusPanel(defs, dependence.as_corr(sigma).values, fitted, omega, corr, tags, diag)
+    return OmnibusPanel(fitted, corr, diag)
 
 
 def component_pvalues(panel: OmnibusPanel, values, kind: str = "z") -> np.ndarray:
@@ -105,7 +109,7 @@ def component_pvalues(panel: OmnibusPanel, values, kind: str = "z") -> np.ndarra
         v = np.asarray(values, dtype=float)
         pvals = z_to_pvalues(v, panel.side) if kind == "z" else v
     out = np.column_stack(
-        [np.asarray(null.survival(np.atleast_1d(evaluate(g, pvals)))) for g, null in zip(panel.defs, panel.fitted)]
+        [np.asarray(null.survival(np.atleast_1d(evaluate(null.gdef, pvals)))) for null in panel.fitted]
     )
     return out[0] if pvals.ndim == 1 else out
 
@@ -130,6 +134,13 @@ def cauchy_sf(x) -> np.ndarray:
     return np.where(x > 1.0, upper, np.where(x < -1.0, lower, 0.5 - np.arctan(x) / np.pi))
 
 
+def cauchy_combination(pj) -> tuple[np.ndarray, np.ndarray]:
+    """The Cauchy statistic over the last axis of component p-values, clamped
+    into the open unit interval, and its p-value: one value per panel of a batch."""
+    stat = cc_statistic(np.clip(pj, PROB_CLAMP_LO, PROB_CLAMP_HI))
+    return stat, cauchy_sf(stat)
+
+
 def pvalue_cc(component_pvals) -> PValueResult:
     """Cauchy-combination omnibus p-value from the component p-values.
 
@@ -138,10 +149,10 @@ def pvalue_cc(component_pvals) -> PValueResult:
     """
     pj = np.atleast_1d(np.asarray(component_pvals, dtype=float))
     clamped = int(np.count_nonzero((pj <= 0.0) | (pj >= 1.0)))
-    pj = np.clip(pj, PROB_CLAMP_LO, PROB_CLAMP_HI)
-    stat = float(cc_statistic(pj))
+    stat, p = cauchy_combination(pj)
+    pj = np.clip(pj, PROB_CLAMP_LO, PROB_CLAMP_HI)  # as the statistic saw them
     diag = {"component_pvalues": pj.tolist(), "clamped_components": clamped}
-    return PValueResult(float(cauchy_sf(stat)), stat, "omnibus_cc", diagnostics=diag)
+    return PValueResult(float(p), float(stat), "omnibus_cc", diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------

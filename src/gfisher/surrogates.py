@@ -25,7 +25,6 @@ __all__ = [
     "fit_gb",
     "fit_ggd",
     "fit_mr",
-    "ggd_moment",
     "ggd_sf",
 ]
 
@@ -144,16 +143,10 @@ class GGDSurrogate:
     power: float
     loc: float = 0.0
     residual: float = 0.0
-    variant: str = "ggd123"
 
     def __post_init__(self):
         if min(self.shape, self.scale, self.power) <= 0:
             raise ValueError("shape, scale, and power must all be > 0")
-
-
-def ggd_moment(k: int, shape: float, scale: float, power: float) -> float:
-    """Raw moment E X^k = theta^k Gamma((a+k)/p) / Gamma(a/p)."""
-    return scale**k * np.exp(gammaln((shape + k) / power) - gammaln(shape / power))
 
 
 def ggd_sf(x, shape: float, scale: float, power: float, loc: float = 0.0):
@@ -323,4 +316,4 @@ def fit_ggd(m: MomentSummary, variant: Literal["ggd123", "ggd234", "ggdmr"] = "g
         raise NoSolutionError(f"{variant} moment equations unsolved (residual {resid:.3e})", resid)
     a, p = np.exp(x)
     theta, loc = scale_loc(a, p)
-    return GGDSurrogate(a, theta, p, loc, resid, variant)
+    return GGDSurrogate(a, theta, p, loc, resid)

@@ -11,7 +11,9 @@ from gfisher.harness import (
     survival_compare,
 )
 from gfisher.kernels import PROB_CLAMP_LO
+from gfisher.omnibus import build_panel
 from gfisher.statistic import GFisherDef, evaluate, z_to_pvalues
+from gfisher.surrogates import MomentSummary
 
 
 def null_batches(config, nreps=None, stream=0):
@@ -167,17 +169,26 @@ class TestEmpiricalTie:
         r4 = empirical_tie(g, "hyb", config, [0.01, 0.001], threads=4)
         np.testing.assert_array_equal(r1.counts, r4.counts)
 
+    @pytest.mark.parametrize("method", ["cc", "minp"])
+    def test_panel_determinism_across_threads(self, method):
+        defs = [GFisherDef(degrees=[float(d)] * 4, side="two") for d in (1, 2)]
+        sigma = dependence.gen_structure("equal", "III", 4, 0.3)
+        panel = build_panel(defs, sigma)
+        config = SimConfig(sigma=sigma, nreps=50_000, seed=16, batch_size=10_000)
+        r1 = empirical_tie(panel, method, config, [0.05, 0.01], threads=1)
+        r3 = empirical_tie(panel, method, config, [0.05, 0.01], threads=3)
+        np.testing.assert_array_equal(r1.counts, r3.counts)
+        assert r1.n_failures == r3.n_failures == 0
+
     def test_report_fields(self):
         g = GFisherDef.fisher(4)
         config = SimConfig(sigma=np.eye(4), nreps=20_000, seed=10)
-        with pytest.warns(RuntimeWarning):
+        with pytest.warns(RuntimeWarning, match="is small for alpha"):
             report = empirical_tie(g, "hyb", config, [1e-4])
         d = report.as_dict()
         assert set(d) >= {"alphas", "rates", "ratios", "mc_se", "nreps", "method", "config"}
 
     def test_omnibus_cc_tie(self):
-        from gfisher.omnibus import build_panel
-
         defs = [GFisherDef(degrees=[float(d)] * 6, side="two") for d in (1, 2)]
         sigma = dependence.gen_structure("equal", "III", 6, 0.5)
         panel = build_panel(defs, sigma)
@@ -186,8 +197,6 @@ class TestEmpiricalTie:
         assert 0.5 < report.ratios[0] < 1.5
 
     def test_omnibus_minp_tie(self):
-        from gfisher.omnibus import build_panel
-
         defs = [GFisherDef(degrees=[float(d)] * 4, side="two") for d in (1, 2)]
         sigma = dependence.gen_structure("equal", "III", 4, 0.3)
         panel = build_panel(defs, sigma)
@@ -197,13 +206,20 @@ class TestEmpiricalTie:
 
     def test_panel_reports_its_own_kstar(self):
         # the components were fitted with the panel's kstar, not the unread argument
-        from gfisher.omnibus import build_panel
-
         defs = [GFisherDef(degrees=[float(d)] * 3, side="two") for d in (1, 2)]
         panel = build_panel(defs, np.eye(3), kstar=4)
         config = SimConfig(sigma=np.eye(3), nreps=1_000, seed=13)
         report = empirical_tie(panel, "cc", config, [0.05])
         assert report.config["kstar"] == 4
+
+    def test_panel_refuses_moments(self):
+        # build_panel fitted the components, so moments here could only be ignored
+        defs = [GFisherDef(degrees=[float(d)] * 3, side="two") for d in (1, 2)]
+        panel = build_panel(defs, np.eye(3))
+        config = SimConfig(sigma=np.eye(3), nreps=1_000, seed=13)
+        mom = MomentSummary(mu=6.0, var=12.0, skew=1.6, exkurt=4.0)
+        with pytest.raises(ValueError, match="build_panel"):
+            empirical_tie(panel, "cc", config, [0.05], moments=mom)
 
 
 class TestSurvivalCompare:

@@ -17,11 +17,13 @@ from gfisher.statistic import GFisherDef
 from gfisher.surrogates import MomentSummary
 
 
+SMALL_SIGMA = dependence.gen_structure("equal", "III", 4, 0.5)
+
+
 @pytest.fixture(scope="module")
 def small_panel():
     defs = [GFisherDef(degrees=[float(d)] * 4, side="two") for d in (1, 2, 3)]
-    sigma = dependence.gen_structure("equal", "III", 4, 0.5)
-    return build_panel(defs, sigma)
+    return build_panel(defs, SMALL_SIGMA)
 
 
 class TestPvalueCC:
@@ -144,7 +146,7 @@ class TestPvalueMinp:
 class TestPanel:
     def test_component_pvalues_identical_defs(self, small_panel):
         g = small_panel.defs[1]
-        panel = build_panel([g, g], small_panel.sigma)
+        panel = build_panel([g, g], SMALL_SIGMA)
         rng = np.random.default_rng(0)
         z = rng.standard_normal(4)
         pj = component_pvalues(panel, z)

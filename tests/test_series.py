@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gfisher import dependence, methods, omnibus, qform
-from gfisher.dependence import cov_matrix, cov_series, gen_structure, hermite_coeff
+from gfisher.dependence import cov_matrix, cov_series, gen_structure
 from gfisher.statistic import GFisherDef
 from gfisher.kernels import gamma_sf
 from gfisher.surrogates import MomentSummary, fit_gb, fit_mr
@@ -89,12 +89,23 @@ class TestComputePvalueMatchesPieces:
         assert res.diagnostics["cov_last_term"] == last
 
 
+def _stat_corr(defs, sigma):
+    """The statistics' correlation from the cross covariance of one standalone series pass."""
+    omega = cov_series(defs, sigma, cross=True).omega
+    scale = 1.0 / np.sqrt(np.diag(omega))
+    corr = omega * np.outer(scale, scale)
+    corr = 0.5 * (corr + corr.T)
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
 class TestPanelSeries:
     def test_omega_equals_cross_cov(self, case):
         sigma, g, z = case
         defs = [GFisherDef(degrees=np.full(g.n, d), side="two") for d in (1, 2, 3)] + [g]
         panel = omnibus.build_panel(defs, sigma)
-        assert np.array_equal(panel.omega, cov_series(defs, sigma, cross=True).omega)
+        assert "corr_repaired" not in panel.diagnostics
+        assert np.array_equal(panel.corr, _stat_corr(defs, sigma))
         for gd, null in zip(defs, panel.fitted):
             t = 1.5 * gd.mean
             assert null.pvalue(t).pvalue == methods.fit_null(gd, sigma, "hyb").pvalue(t).pvalue
@@ -103,13 +114,14 @@ class TestPanelSeries:
         sigma = gen_structure("equal", "III", 5, 0.4)
         defs = [GFisherDef(degrees=np.full(5, d), side="one") for d in (1.0, 2.0, 3.5)]
         panel = omnibus.build_panel(defs, sigma, method="gb")
-        assert np.array_equal(panel.omega, cov_series(defs, sigma, cross=True).omega)
+        assert "corr_repaired" not in panel.diagnostics
+        assert np.array_equal(panel.corr, _stat_corr(defs, sigma))
 
 
 def cov_summands(d_i, d_j, sigma_ij, side, kstar):
     """Reference series sum_{k<=kstar} sigma^k / k! * I_i(k) I_j(k), order by order."""
     return sum(
-        sigma_ij**k / factorial(k) * hermite_coeff(d_i, k, side) * hermite_coeff(d_j, k, side)
+        sigma_ij**k / factorial(k) * dependence._coeffs(d_i, side, k, k)[0] * dependence._coeffs(d_j, side, k, k)[0]
         for k in range(1, kstar + 1)
     )
 

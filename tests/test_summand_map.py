@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gfisher import dependence, kernels
-from gfisher.dependence import cov_series, hermite_coeff, transform_product_moment
+from gfisher.dependence import cov_series, transform_product_moment
 from gfisher.statistic import GFisherDef, transform
 
 # I(k), k = 1..12 one-sided and k = 2, 4, ..., 12 two-sided, from a 95-digit mpmath integration over T ~ chi2_d
@@ -173,6 +173,11 @@ def cold():
     dependence._grid.cache_clear()
 
 
+def hermite_coeff(d, k, side):
+    """I(k) of one d: the order-k coefficient of the cached quadrature grid."""
+    return dependence._coeffs(d, side, k, k)[0]
+
+
 def _counting(monkeypatch, owner, name):
     calls = []
     inner = getattr(owner, name)
@@ -261,7 +266,7 @@ def test_transform_calls_the_core_once_per_distinct_degree(monkeypatch):
     assert sorted(d for _, d in calls) == [1.0, 2.0, 3.5]
     monkeypatch.undo()
     for j, d in enumerate(g.degrees):
-        ref = kernels.chisq_inv_sf(np.maximum(p[:, j], kernels.PROB_CLAMP_LO), d)
+        ref = transform(GFisherDef(degrees=[d]), p[:, j : j + 1])[:, 0]
         assert np.array_equal(t[:, j], ref)
 
 
