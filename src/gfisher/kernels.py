@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv, gammaln, hyperu, ndtri
+from scipy.special import gamma, gammainc, gammaincc, gammainccinv, gammaincinv, gammaln, hyperu, ndtri
 
 __all__ = [
     "GAUSS_HALVING",
@@ -58,7 +58,8 @@ def _newton_isf(a: float, x, p, q, v):
     up = p < 0.5
     r = np.empty_like(x)
     r[up] = gammaincc(a, x[up]) - p[up]
-    r[~up] = q[~up] - gammainc(a, x[~up])
+    lo = x[~up]  # P(a, x) = x^a / Gamma(a + 1) to the last bits for tiny x, where gammainc loses ~30 ulps
+    r[~up] = q[~up] - np.where(lo < 1e-30, lo**a / gamma(a + 1.0), gammainc(a, lo))
     return x + r / np.exp(lf)
 
 
@@ -104,7 +105,7 @@ def _chisq_isf(p, d: float):
         return ndtri(0.5 * p) ** 2
     if d == 2.0:
         return -2.0 * np.log(p) + 0.0  # + 0.0: T = 0, not -0, at p = 1
-    if d < 0.125:  # T underflows near p = 1, below the table's reach
+    if d < 0.1038:  # the table's x at p = 1 - 2^-53 would be subnormal
         return 2.0 * gammainccinv(d / 2.0, p)
     p = np.asarray(p, dtype=float)
     flat = p.ravel()

@@ -170,10 +170,11 @@ def mvn_rect_prob(
     """P(Z <= upper) for Z ~ N(0, corr) by randomized quasi-Monte Carlo.
 
     Sequential conditioning through the Cholesky factor maps the rectangle to
-    the unit cube; scrambled Sobol batches give an error estimate (3.5 x the
-    batch standard error). Points are doubled until the estimate meets
-    ``abs_tol`` or the point budget is exhausted. Returns (probability,
-    error estimate). Deterministic for a fixed seed.
+    the unit cube. ``MINP_BATCHES`` scrambled Sobol engines are built once per
+    call and each round doubles every engine's points (1024 at first), so each
+    batch is the first 2^k points of its sequence. Returns the mean of the batch
+    means and 3.5 x their standard error once that meets ``abs_tol`` or the
+    points drawn reach ``MINP_MAX_POINTS``; deterministic for a fixed seed.
     """
     upper = np.atleast_1d(np.asarray(upper, dtype=float))
     m = upper.size
@@ -193,30 +194,27 @@ def mvn_rect_prob(
         raise ValueError("correlation matrix is not positive semidefinite after repair")
 
     rng = np.random.default_rng(seed)
-    n_per = 1 << 10
-    total = 0
-    est, err = np.nan, np.inf
+    engines = [qmc.Sobol(d=m - 1, scramble=True, seed=rng) for _ in range(MINP_BATCHES)]
+    sums = np.zeros(MINP_BATCHES)
+    drawn, n_new = 0, 1 << 10
     while True:
-        batch_means = np.empty(MINP_BATCHES)
-        for b in range(MINP_BATCHES):
-            sob = qmc.Sobol(d=m - 1, scramble=True, seed=rng)
-            u = sob.random(n_per)
-            f = np.full(n_per, ndtr(upper[0] / chol[0, 0]))
+        for b, sob in enumerate(engines):
+            u = sob.random(n_new)
+            f = np.full(n_new, ndtr(upper[0] / chol[0, 0]))
             e_prev = f.copy()
-            y = np.zeros((n_per, m - 1))
+            y = np.zeros((n_new, m - 1))
             for i in range(1, m):
-                z = ndtri(np.clip(u[:, i - 1] * e_prev, 1e-16, 1.0 - 1e-16))
-                y[:, i - 1] = z
-                shift = y[:, :i] @ chol[i, :i]
-                e_prev = ndtr((upper[i] - shift) / chol[i, i])
+                y[:, i - 1] = ndtri(np.clip(u[:, i - 1] * e_prev, 1e-16, 1.0 - 1e-16))
+                e_prev = ndtr((upper[i] - y[:, :i] @ chol[i, :i]) / chol[i, i])
                 f *= e_prev
-            batch_means[b] = f.mean()
-        total += MINP_BATCHES * n_per
+            sums[b] += f.sum()
+        drawn += n_new
+        batch_means = sums / drawn
         est = float(batch_means.mean())
         err = float(3.5 * batch_means.std(ddof=1) / np.sqrt(MINP_BATCHES))
-        if err <= abs_tol or total >= MINP_MAX_POINTS:
+        if err <= abs_tol or MINP_BATCHES * drawn >= MINP_MAX_POINTS:
             return est, err
-        n_per *= 2
+        n_new = drawn
 
 
 def minp_from_components(
@@ -227,6 +225,8 @@ def minp_from_components(
     seed: int = 0,
 ) -> PValueResult:
     pj = np.atleast_1d(np.asarray(component_pvals, dtype=float))
+    if pj.size != panel.m:
+        raise ValueError(f"need one p-value per component ({panel.m}), got {pj.size}")
     minp_o = float(pj.min())
     diag: dict = {"component_pvalues": pj.tolist()}
     if panel.m == 1:

@@ -107,6 +107,26 @@ class TestGeneralDegreeMap:
         ),
     }
 
+    # the same oracle for d just above the table's cut-off, where x reaches 1e-304 at p -> 1
+    SMALL_D_ORACLE = {
+        0.105: (
+            1455.326440755286, 1363.3465602795775, 444.4309362793753, 43.50633277047844,
+            5.5561801003317814, 0.0013133944338615082, 2.161391946428331e-06, 1.0495876566456632e-19,
+            8.046266967799577e-299, 1.4848745326677632e-304,
+        ),
+        0.11: (
+            1455.454731028734, 1363.4745138332382, 444.552960874638, 43.61300412370318,
+            5.636183936988308, 0.001792486877567105, 3.946522251075243e-06, 7.720905022518124e-19,
+            2.879444242170188e-285, 9.683581783851178e-291,
+        ),
+        0.12: (
+            1455.6992155460634, 1363.7183261363234, 444.78495509856083, 43.814809210622975,
+            5.78749997339871, 0.0030910887572224693, 1.1324356435657835e-05, 2.5381140796171686e-17,
+            1.5083943470346987e-261, 1.4499342265101993e-266,
+        ),
+    }
+    CUTOFF = 0.1038  # the smallest d, in steps of 1e-4, that the table path takes
+
     @pytest.fixture(autouse=True)
     def cold(self):
         kernels._isf_table.cache_clear()
@@ -116,7 +136,22 @@ class TestGeneralDegreeMap:
             got = kernels._chisq_isf(np.array(self.P), d)
             np.testing.assert_allclose(got, expected, rtol=2e-14, atol=0.0, err_msg=f"d = {d}")
 
-    @pytest.mark.parametrize("d", [0.5, 3.0, 3.5, 8.0, 30.0, 200.0])
+    def test_small_degrees_match_oracle(self):
+        for d, expected in self.SMALL_D_ORACLE.items():
+            got = kernels._chisq_isf(np.array(self.P), d)
+            np.testing.assert_allclose(got, expected, rtol=5e-14, atol=0.0, err_msg=f"d = {d}")
+
+    def test_table_nodes_normal_down_to_the_cutoff(self):
+        tiny = np.finfo(float).tiny
+        table = kernels._isf_table(self.CUTOFF / 2.0)
+        assert np.all(np.isfinite(table))
+        assert np.exp(table[:, 0]).min() >= tiny  # every node x, the p -> 1 end included
+        # one step below the cut-off the p -> 1 node would be subnormal
+        assert np.exp(kernels._isf_table((self.CUTOFF - 1e-4) / 2.0)[:, 0]).min() < tiny
+        p = np.array(self.P)
+        assert np.array_equal(kernels._chisq_isf(p, self.CUTOFF), 2.0 * kernels._gamma_isf(self.CUTOFF / 2.0, p))
+
+    @pytest.mark.parametrize("d", [0.1038, 0.11, 0.5, 3.0, 3.5, 8.0, 30.0, 200.0])
     def test_non_increasing_across_nodes_and_branches(self, d):
         # 16 points per table step in log(-log p) crosses every node, and the
         # linear stretch crosses the switch of Newton residual at p = 1/2
@@ -140,7 +175,7 @@ class TestGeneralDegreeMap:
         p = np.array([5e-324, 1e-320, 1e-300, 1e-30, 0.3, 0.5, 0.9, 1.0 - 2.0**-53, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for d in (0.5, 3.0, 3.5, 8.0, 30.0, 200.0):
+            for d in (0.1038, 0.11, 0.5, 3.0, 3.5, 8.0, 30.0, 200.0):
                 assert np.all(np.isfinite(kernels._chisq_isf(p, d)))
 
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 from scipy.special import ndtr as _ndtr, ndtri
+from scipy.stats import qmc
 
-from gfisher import dependence
+from gfisher import dependence, omnibus
 from gfisher.omnibus import (
     build_panel,
     component_pvalues,
@@ -103,6 +104,95 @@ class TestMvnRect:
         ref = float(multivariate_normal.cdf(b, mean=np.zeros(3), cov=r, abseps=1e-7))
         assert p == pytest.approx(ref, abs=5e-5)
 
+    R3 = np.array([[1.0, 0.6, 0.3], [0.6, 1.0, 0.5], [0.3, 0.5, 1.0]])
+    B3 = np.array([2.0, 2.2, 2.5])
+
+    @staticmethod
+    def _counting_sobol(monkeypatch):
+        """Replace qmc.Sobol with a subclass that logs constructions and the
+        cumulative point count of every engine after each draw."""
+        log = {"built": 0, "counts": []}
+
+        class Counting(qmc.Sobol):
+            def __init__(self, *args, **kwargs):
+                log["built"] += 1
+                super().__init__(*args, **kwargs)
+
+            def random(self, n=1, **kwargs):
+                out = super().random(n, **kwargs)
+                log["counts"].append(self.num_generated)
+                return out
+
+        monkeypatch.setattr(omnibus.qmc, "Sobol", Counting)
+        return log
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_reference_after_k_doublings(self, monkeypatch, k):
+        # a budget of exactly 24 * 1024 * 2^k points and abs_tol = 0 force k doublings
+        n = 1024 << k
+        monkeypatch.setattr(omnibus, "MINP_MAX_POINTS", omnibus.MINP_BATCHES * n)
+        est, err = mvn_rect_prob(self.B3, self.R3, abs_tol=0.0, seed=9)
+        # the reference: each engine's first n points in one draw, conditioned by hand
+        rng = np.random.default_rng(9)
+        engines = [qmc.Sobol(d=2, scramble=True, seed=rng) for _ in range(omnibus.MINP_BATCHES)]
+        chol = np.linalg.cholesky(self.R3)
+        means = np.empty(omnibus.MINP_BATCHES)
+        for b, sob in enumerate(engines):
+            u = sob.random(n)
+            f = np.full(n, _ndtr(self.B3[0] / chol[0, 0]))
+            e = f.copy()
+            y = np.zeros((n, 2))
+            for i in (1, 2):
+                y[:, i - 1] = ndtri(np.clip(u[:, i - 1] * e, 1e-16, 1.0 - 1e-16))
+                e = _ndtr((self.B3[i] - y[:, :i] @ chol[i, :i]) / chol[i, i])
+                f *= e
+            means[b] = f.mean()
+        assert est == float(means.mean())
+        assert err == float(3.5 * means.std(ddof=1) / np.sqrt(omnibus.MINP_BATCHES))
+
+    def test_engines_built_once_per_call(self, monkeypatch):
+        log = self._counting_sobol(monkeypatch)
+        for tol, rounds in ((1e-4, 1), (2e-6, 3)):
+            log["built"], log["counts"] = 0, []
+            mvn_rect_prob(self.B3, self.R3, abs_tol=tol, seed=4)
+            assert log["built"] == omnibus.MINP_BATCHES
+            # every engine stays at a power-of-two count: 1024, 2048, 4096, ...
+            assert log["counts"] == [1024 << r for r in range(rounds) for _ in range(omnibus.MINP_BATCHES)]
+
+    def test_budget_stops_hard_call(self, monkeypatch):
+        log = self._counting_sobol(monkeypatch)
+        budget = omnibus.MINP_BATCHES * 4096
+        monkeypatch.setattr(omnibus, "MINP_MAX_POINTS", budget)
+        est, err = mvn_rect_prob(self.B3, self.R3, abs_tol=1e-12, seed=2)
+        assert err > 1e-12
+        assert 0.0 < est < 1.0
+        assert log["built"] == omnibus.MINP_BATCHES
+        assert len(log["counts"]) == 3 * omnibus.MINP_BATCHES  # 1024 + 1024 + 2048 per engine
+        assert log["counts"][-1] * omnibus.MINP_BATCHES == budget
+
+    def test_error_covers_scipy_reference(self):
+        from scipy.stats import multivariate_normal
+
+        rng = np.random.default_rng(20)
+        for m in (3, 4, 5):
+            for _ in range(3):
+                g = rng.standard_normal((m, m + 2))
+                cov = g @ g.T
+                s = 1.0 / np.sqrt(np.diag(cov))
+                r = cov * np.outer(s, s)
+                b = rng.uniform(0.0, 2.5, m)
+                est, err = mvn_rect_prob(b, r, seed=int(rng.integers(1000)))
+                ref = float(multivariate_normal.cdf(b, mean=np.zeros(m), cov=r, abseps=1e-8, releps=0.0))
+                assert abs(est - ref) <= err
+
+    def test_round_one_frozen(self, monkeypatch):
+        # a call that stops after its first 1024 points per batch, frozen at the
+        # value and error of the code that built new engines every round
+        log = self._counting_sobol(monkeypatch)
+        r = np.array([[1.0, 0.4, 0.2], [0.4, 1.0, 0.1], [0.2, 0.1, 1.0]])
+        assert mvn_rect_prob([0.5, 1.0, 1.5], r, seed=123) == (0.5875983262157304, 1.5797682128800825e-06)
+        assert log["counts"] == [1024] * omnibus.MINP_BATCHES
+
 
 class TestPvalueMinp:
     def test_single_def_reduces_to_component(self):
@@ -128,6 +218,15 @@ class TestPvalueMinp:
 
         res = minp_from_components(Dep(), [0.01, 0.02], seed=5)
         assert res.pvalue == pytest.approx(0.01, abs=2e-4)
+
+    def test_refuses_wrong_length(self):
+        class P:
+            m = 3
+            corr = np.eye(3)
+
+        for pj in ([0.01], [0.01, 0.5], [0.01, 0.5, 0.7, 0.2]):
+            with pytest.raises(ValueError, match="one p-value per component"):
+                minp_from_components(P(), pj)
 
     def test_nonincreasing_in_cross_correlation(self):
         minp_o = 0.02
