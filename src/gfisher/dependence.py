@@ -211,9 +211,9 @@ class CorrMatrix:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("correlation matrix must be square")
-        if not np.allclose(v, v.T, atol=1e-12):
+        if not np.allclose(v, v.T, rtol=0.0, atol=1e-12):
             raise ValueError("correlation matrix must be symmetric")
-        if not np.allclose(np.diag(v), 1.0, atol=1e-12):
+        if not np.allclose(np.diag(v), 1.0, rtol=0.0, atol=1e-12):
             raise ValueError("correlation matrix must have unit diagonal")
         if np.any(np.abs(v) > 1.0 + 1e-12):
             raise ValueError("correlation entries must lie in [-1, 1]")
@@ -245,6 +245,31 @@ def as_corr(sigma) -> CorrMatrix:
     if isinstance(sigma, CorrMatrix):
         return sigma
     return CorrMatrix(np.asarray(sigma, dtype=float))
+
+
+def _components(s: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Components of a symmetric matrix's exact nonzero pattern: the indices whose row is zero off
+    the diagonal, as one array, and each larger component's sorted indices. Breadth-first by frontier
+    rows, so each row is read once; a matrix without a zero entry is one block."""
+    n = s.shape[0]
+    nz = s != 0
+    if nz.all():
+        return np.empty(0, dtype=np.intp), [np.arange(n)]
+    np.fill_diagonal(nz, False)
+    alone = ~nz.any(axis=1)
+    seen = alone.copy()
+    blocks = []
+    while not seen.all():
+        comp = np.zeros(n, dtype=bool)
+        comp[np.argmin(seen)] = True  # the first row not yet placed
+        front = comp
+        while front.any():
+            reach = nz[front].any(axis=0)
+            front = reach & ~comp
+            comp = comp | reach
+        seen |= comp
+        blocks.append(np.flatnonzero(comp))
+    return np.flatnonzero(alone), blocks
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,11 @@ def _require_two_sided_integer(gdef: GFisherDef) -> None:
 
 @dataclass
 class SurrogateCorr:
-    """The surrogate correlation matrix M."""
+    """The surrogate correlation matrix M, zero off sigma's components ``singles`` and ``blocks``."""
 
     m: np.ndarray
+    singles: np.ndarray
+    blocks: list[np.ndarray]
     clamp_count: int = 0
     repair_applied: bool = False
 
@@ -69,8 +71,10 @@ class QuadFormSpec:
 def build_m(gdef: GFisherDef, sigma, cov_t: np.ndarray) -> SurrogateCorr:
     """Surrogate correlation M_ij = sgn(sigma_ij) min(sqrt(C_ij / (2 min(d_i,d_j))), 0.99).
 
-    Entries hitting the cap are counted; a non-PSD M is replaced by the
-    nearest correlation matrix in Frobenius norm with ``repair_applied`` set.
+    Entries hitting the cap are counted. M is zero wherever sigma is, so each component of sigma's
+    exact nonzero pattern with a negative eigenvalue in M is replaced by its nearest correlation
+    matrix (``repair_applied`` set): the Qi-Sun dual separates by block, so this is the whole-matrix
+    repair at O(sum b^3). A sigma without zeros is one block.
     """
     _require_two_sided_integer(gdef)
     s = dependence.as_corr(sigma).values
@@ -91,11 +95,14 @@ def build_m(gdef: GFisherDef, sigma, cov_t: np.ndarray) -> SurrogateCorr:
     np.fill_diagonal(m, 1.0)
     m = 0.5 * (m + m.T)
 
+    singles, blocks = dependence._components(s)
     repair_applied = False
-    if np.linalg.eigvalsh(m)[0] < -1e-10:
-        m = dependence.nearest_correlation(m)
-        repair_applied = True
-    return SurrogateCorr(m=m, clamp_count=clamp_count, repair_applied=repair_applied)
+    for b in blocks:
+        ix = np.ix_(b, b)
+        if np.linalg.eigvalsh(m[ix])[0] < -1e-10:
+            m[ix] = dependence.nearest_correlation(m[ix])
+            repair_applied = True
+    return SurrogateCorr(m, singles, blocks, clamp_count, repair_applied)
 
 
 def eigen_spec(gdef: GFisherDef, sc: SurrogateCorr) -> QuadFormSpec:
@@ -103,7 +110,8 @@ def eigen_spec(gdef: GFisherDef, sc: SurrogateCorr) -> QuadFormSpec:
 
     At level k the active set is {l : d_l >= k}; the form's matrix is
     R_k M R_k with R_k = diag(sqrt(w_l 1{d_l >= k})), whose spectrum matches
-    diag(w b_k) M. The pooled eigenvalues satisfy sum(lambda) = sum_i w_i d_i.
+    diag(w b_k) M. The pooled eigenvalues satisfy sum(lambda) = sum_i w_i d_i. Each level pools
+    one eigensolve per block of ``sc.blocks`` and r**2 over ``sc.singles``, with no eigensolve.
     """
     _require_two_sided_integer(gdef)
     d = gdef.degrees.astype(int)
@@ -112,7 +120,9 @@ def eigen_spec(gdef: GFisherDef, sc: SurrogateCorr) -> QuadFormSpec:
     for k in range(1, int(d.max()) + 1):
         if k == 1 or np.any(d == k - 1):  # otherwise the active set is level k - 1's
             r = np.sqrt(w * (d >= k))
-            vals = np.linalg.eigvalsh(np.outer(r, r) * sc.m)
+            parts = [r[sc.singles] ** 2]
+            parts += [np.linalg.eigvalsh(np.outer(r[b], r[b]) * sc.m[np.ix_(b, b)]) for b in sc.blocks]
+            vals = np.concatenate(parts)
         lams.append(vals[vals > 1e-14])
     lam = np.concatenate(lams)  # never empty: level 1's eigenvalues sum to n; all kept are > 1e-14
     cut = EIG_DROP_REL * lam.max()

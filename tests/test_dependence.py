@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 from scipy.special import ndtr
 
 from gfisher import dependence
@@ -279,6 +280,25 @@ class TestCorrMatrixIO:
         with pytest.raises(ValueError):
             CorrMatrix(np.array([[1.0, 1.5], [1.5, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            ([[0.99999, 0.3], [0.3, 1.0]], "unit diagonal"),
+            ([[1.000009, 0.3], [0.3, 1.0]], "unit diagonal"),
+            ([[1.0, 0.3], [0.30000299, 1.0]], "symmetric"),
+        ],
+        ids=["diagonal 0.99999", "diagonal 1.000009", "asymmetry 3e-6"],
+    )
+    def test_tolerance_is_absolute(self, a, message):
+        with pytest.raises(ValueError, match=message):
+            CorrMatrix(np.array(a))
+
+    def test_rounding_asymmetry_is_made_exact(self):
+        a = np.array([[1.0, 0.3, 0.0], [0.3 + 1e-13, 1.0, 1e-13], [0.0, 0.0, 1.0]])
+        v = CorrMatrix(a).values
+        assert np.array_equal(v, v.T)
+        assert v[1, 2] != 0.0  # the pattern keeps the nonzero of either side
+
 
 class TestNearestCorrelation:
     def test_fixed_point_on_psd(self):
@@ -386,3 +406,48 @@ class TestNewtonAgainstOracle:
         with pytest.warns(RuntimeWarning, match="nearest correlation did not converge.*diagonal residual"):
             out = nearest_correlation(a)
         assert np.array_equal(out, out.T)
+
+
+def _shuffled_blocks(parts, rng):
+    """A block-diagonal matrix of ``parts`` with rows and columns permuted, and each index's block label."""
+    perm = rng.permutation(sum(p.shape[0] for p in parts))
+    label = np.repeat(np.arange(len(parts)), [p.shape[0] for p in parts])[perm]
+    return block_diag(*parts)[np.ix_(perm, perm)], label
+
+
+class TestComponents:
+    def test_shuffled_blocks_and_singletons(self):
+        chain = np.eye(6) + 0.4 * (np.eye(6, k=1) + np.eye(6, k=-1))  # one component of diameter 5
+        parts = [chain, dependence._equal_block(4, 0.5), np.eye(1), np.eye(1), np.eye(1)]
+        s, label = _shuffled_blocks(parts, np.random.default_rng(3))
+        singles, blocks = dependence._components(s)
+        assert sorted(map(tuple, blocks)) == sorted(tuple(np.flatnonzero(label == c)) for c in (0, 1))
+        assert np.array_equal(singles, np.flatnonzero(label >= 2))
+
+    def test_exact_pattern(self):
+        s = np.eye(4)
+        s[1, 2] = s[2, 1] = 1e-300  # any nonzero joins
+        singles, blocks = dependence._components(s)
+        assert singles.tolist() == [0, 3] and [b.tolist() for b in blocks] == [[1, 2]]
+
+    def test_dense_is_one_block(self):
+        singles, blocks = dependence._components(gen_structure("poly", "III", 7, 1.0).values)
+        assert singles.size == 0 and [b.tolist() for b in blocks] == [list(range(7))]
+
+
+class TestBlockSeparableRepair:
+    """The nearest correlation matrix of a block-diagonal matrix is block
+    diagonal (the Qi-Sun dual separates by block), which per-block repair rests on."""
+
+    def test_whole_repair_equals_block_repairs(self):
+        parts = [dependence._poly_block(9, 1.0), dependence._poly_block(7, 1.0), dependence._equal_block(6, 0.5)]
+        a, label = _shuffled_blocks(parts, np.random.default_rng(20))
+        assert np.linalg.eigvalsh(a)[0] < 0
+        whole = nearest_correlation(a)
+        by_block = np.zeros_like(a)
+        for c in range(len(parts)):
+            ix = np.ix_(label == c, label == c)
+            by_block[ix] = nearest_correlation(a[ix])
+        assert np.linalg.norm(whole - by_block, "fro") <= 1e-8
+        assert np.linalg.norm(whole - _oracle_nearest_correlation(a), "fro") <= 1e-8
+        assert np.max(np.abs(whole[label[:, None] != label[None, :]])) <= 1e-12

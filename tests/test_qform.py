@@ -1,5 +1,6 @@
 """Quadratic-form surrogate: M matrix, eigen spectrum, CDF inversion, hybrid."""
 
+import sys
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.stats import chi2, gamma, norm
 
 from gfisher import dependence, qform
+from gfisher.kernels import gamma_sf
 from gfisher.methods import compute_pvalue, fit_null
 from gfisher.qform import (
     CdfOutcome,
@@ -18,7 +20,7 @@ from gfisher.qform import (
     qform_sf,
 )
 from gfisher.statistic import GFisherDef
-from gfisher.surrogates import fit_mr
+from gfisher.surrogates import MomentSummary, fit_mr
 
 
 def fisher_two_sided(n):
@@ -519,3 +521,99 @@ class TestPvalueHyb:
                     ph = hyb.pvalue(t).pvalue
                     if min(pq, ph) >= 1e-6:
                         assert abs(np.log10(pq) - np.log10(ph)) <= 0.2, (kind, block, z)
+
+
+def _block_panel(perm_seed):
+    """A repaired poly:1.0 block (n = 12), an equal:0.5 block (n = 8) and 5 singletons, shuffled.
+
+    Returns sigma, the statistic (degrees cycling 1, 2, 3, unequal weights)
+    and the index arrays of the components in shuffled coordinates.
+    """
+    n = 25
+    s = np.eye(n)
+    s[:12, :12] = dependence._poly_block(12, 1.0)
+    s[12:20, 12:20] = dependence._equal_block(8, 0.5)
+    comps = [np.arange(12), np.arange(12, 20)] + [np.array([i]) for i in range(20, 25)]
+    degrees = np.resize([1, 2, 3], n)
+    weights = np.linspace(0.5, 3.0, n)
+    perm = np.random.default_rng(perm_seed).permutation(n)
+    where = np.argsort(perm)  # shuffled position of each original index
+    g = GFisherDef(degrees[perm], weights[perm])
+    return s[np.ix_(perm, perm)], g, [np.sort(where[c]) for c in comps]
+
+
+@pytest.fixture()
+def eigvalsh_shapes(monkeypatch):
+    """Shapes of the matrices ``qform`` hands to ``np.linalg.eigvalsh``."""
+    shapes = []
+    inner = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == qform.__name__:
+            shapes.append(np.shape(a))
+        return inner(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return shapes
+
+
+class TestBlockSeparable:
+    """Under a block-diagonal sigma, T is a sum of independent block statistics."""
+
+    def test_sum_of_independent_blocks(self):
+        sigma, g, comps = _block_panel(7)
+        cov = dependence.cov_matrix(g, sigma)
+        var = float(g.weights @ cov @ g.weights)
+        t = g.mean + 3.0 * np.sqrt(var)
+
+        # each block alone: GFisherDef rescales the block's weights to mean 1, so scale its spectrum back
+        lams = []
+        for c in comps:
+            gc = GFisherDef(g.degrees[c], g.weights[c])
+            sc_c = build_m(gc, sigma[np.ix_(c, c)], cov[np.ix_(c, c)])
+            lams.append(eigen_spec(gc, sc_c).lambdas * g.weights[c].mean())
+        pooled = QuadFormSpec(np.sort(np.concatenate(lams))[::-1], trace=float(np.concatenate(lams).sum()))
+        assert pooled.trace == pytest.approx(g.mean, rel=1e-12)
+
+        gb = fit_null(g, sigma, "gb").pvalue(t)
+        shape = g.mean**2 / var
+        assert gb.pvalue == float(gamma_sf((t - g.mean) / np.sqrt(var) * np.sqrt(shape) + shape, shape))
+
+        hyb = fit_null(g, sigma, "hyb").pvalue(t)
+        qm = hybrid_moments(pooled)
+        ref = fit_null(g, sigma, "mr", moments=MomentSummary(g.mean, var, qm.skew, qm.exkurt)).pvalue(t)
+        assert hyb.pvalue == pytest.approx(ref.pvalue, rel=1e-12, abs=0.0)
+        assert hyb.diagnostics["m_repaired"]
+
+        q = fit_null(g, sigma, "q").pvalue(t)
+        assert abs(q.pvalue - qform_sf(pooled, t).value) <= q.diagnostics["qf_error_bound"]
+
+        sc = build_m(g, sigma, cov)
+        assert sc.repair_applied
+        label = np.zeros(25, dtype=int)
+        for i, c in enumerate(comps):
+            label[c] = i
+        assert np.all(sc.m[label[:, None] != label[None, :]] == 0.0)
+
+        # a second shuffle of the same blocks prices the same
+        sigma2, g2, _ = _block_panel(8)
+        for method, res in (("gb", gb), ("hyb", hyb), ("q", q)):
+            assert fit_null(g2, sigma2, method).pvalue(t).pvalue == pytest.approx(res.pvalue, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "structure, expect",
+        [
+            (("equal", "II", 0.5), lambda shapes: set(shapes) == {(20, 20)}),
+            (("invequal", "I", 0.5), lambda shapes: max(shapes) == (20, 20) and (1, 1) not in shapes),
+            (("poly", "III", 1.0), lambda shapes: set(shapes) == {(40, 40)}),
+        ],
+        ids=["equal:0.5:II", "invequal:0.5:I", "poly:1.0:III"],
+    )
+    def test_eigensolves_per_block(self, eigvalsh_shapes, structure, expect):
+        kind, block, param = structure
+        s = dependence.gen_structure(kind, block, 40, param)
+        g = fisher_two_sided(40)
+        pvals = {m: fit_null(g, s, m).pvalue(100.0).pvalue for m in ("hyb", "q")}
+        assert eigvalsh_shapes and expect(eigvalsh_shapes), eigvalsh_shapes
+        if kind == "poly":  # one dense block: the same arithmetic as a whole-matrix fit
+            assert pvals == {"hyb": 0.19186701552984753, "q": 0.18480616267065192}
