@@ -290,7 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["z", "p"], default="z")
     p.add_argument("--method", choices=list(methods.METHODS), default=None)
     p.add_argument("--reps", type=int, help="replicates for empirical moments")
-    p.add_argument("--minp-tol", dest="minp_tol", type=float, default=omnibus.MINP_DEFAULT_TOL)
+    p.add_argument(
+        "--minp-tol", dest="minp_tol", type=float, default=omnibus.MINP_DEFAULT_TOL,
+        help="absolute error target of the quasi-Monte Carlo min-p for 4 or more definitions; "
+        "up to 3 use a deterministic integral (Plackett, tanh-sinh) and report its halving estimate",
+    )
     p.add_argument("--qf-acc", dest="qf_acc", type=float, default=qform.DEFAULT_QF_ACC)
     _add_common(p)
     p.set_defaults(handler=_cmd_omnibus)

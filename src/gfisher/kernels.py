@@ -1,4 +1,4 @@
-"""Scalar special functions, Hermite polynomials, and the Gaussian-weight quadrature rule.
+"""Scalar special functions, Hermite polynomials, and the two fixed quadrature rules.
 
 Everything here is a pure function of its inputs; the rest of the package is
 built on top of these primitives.
@@ -9,7 +9,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma, gammainc, gammaincc, gammainccinv, gammaincinv, gammaln, hyperu, ndtri
+from scipy.special import expit, gamma, gammainc, gammaincc, gammainccinv, gammaincinv, gammaln, hyperu, ndtri
 
 __all__ = [
     "GAUSS_HALVING",
@@ -18,6 +18,10 @@ __all__ = [
     "MAX_HERMITE_ORDER",
     "PROB_CLAMP_LO",
     "PROB_CLAMP_HI",
+    "UNIT_COMPLEMENTS",
+    "UNIT_HALVING",
+    "UNIT_NODES",
+    "UNIT_WEIGHTS",
     "gamma_sf",
     "hermite",
 ]
@@ -163,3 +167,25 @@ def _exp_sinh_rule(h: float = 1.0 / 256, t_lo: float = -6.0, t_hi: float = 3.2):
 
 # the rule's nodes, weights and signed halving weights, built once at import
 GAUSS_NODES, GAUSS_WEIGHTS, GAUSS_HALVING = _exp_sinh_rule()
+
+
+def _tanh_sinh_rule(h: float = 1.0 / 32, t_max: float = 4.0):
+    """Takahasi-Mori double-exponential (tanh-sinh) rule for int_0^1 f(t) dt.
+
+    Nodes are t_j = (1 + tanh(pi/2 sinh(j h))) / 2, returned together with
+    their complements 1 - t_j, each computed as a logistic function so that
+    both keep full relative accuracy: near t = 1 the complements reach 5e-38
+    while the nodes themselves round to 1, so an integrand written in terms
+    of 1 - t may be singular there. As in ``_exp_sinh_rule``, the even-j
+    nodes with doubled weights form the rule at step 2h, and the signed
+    halving weights give the difference of the two rules.
+    """
+    j = np.arange(-round(t_max / h), round(t_max / h) + 1)
+    v = np.pi * np.sinh(j * h)
+    t, s = expit(v), expit(-v)
+    w = h * np.pi * np.cosh(j * h) * t * s
+    return t, s, w, np.where(j % 2 == 0, -w, w)
+
+
+# the unit-interval rule's nodes, complements, weights and signed halving weights
+UNIT_NODES, UNIT_COMPLEMENTS, UNIT_WEIGHTS, UNIT_HALVING = _tanh_sinh_rule()

@@ -190,6 +190,7 @@ def _lattice_survival(lams: np.ndarray, x: float, acc: float) -> CdfOutcome:
     reported three times over) is at most acc / 6; the number of terms so the
     Dirichlet-test bound on the truncated oscillatory tail takes the rest of
     acc, which keeps the reported bound within acc whenever both searches stop.
+    The bound also carries the sum's rounding floor, a few times eps.
     """
     # step from the aliasing bound: 2 pi / step - x must carry < acc / 6 mass
     t_hi = x + float(lams.sum()) + 4.0 * float(np.sqrt(2.0 * np.sum(lams**2)))
@@ -219,17 +220,22 @@ def _lattice_survival(lams: np.ndarray, x: float, acc: float) -> CdfOutcome:
         n_terms *= 2
     tail_bound = trunc_bound(n_terms)
 
-    total = 0.0
+    total = slack = 0.0
     chunk = 1 << 20
     for start in range(0, n_terms, chunk):
         idx = np.arange(start, min(n_terms, start + chunk), dtype=float)
         u = (idx + 0.5) * delta
         lu = 2.0 * np.outer(lams, u)
         logmod = -0.25 * np.log1p(lu * lu).sum(axis=0)
-        phase = 0.5 * np.arctan(lu).sum(axis=0) - u * x
-        total += float(np.sum(np.exp(logmod) * np.sin(phase) / (idx + 0.5)))
+        arc = 0.5 * np.arctan(lu).sum(axis=0)
+        mod = np.exp(logmod)
+        total += float(np.sum(mod * np.sin(arc - u * x) / (idx + 0.5)))
+        # a term's phase and log modulus are good to eps times the sum of their parts' magnitudes,
+        # which also bounds their change when the eigenvalues move in their last bits
+        slack += float(np.sum(mod * (1.0 + arc + u * x - 2.0 * logmod) / (idx + 0.5)))
     surv = 0.5 + total / np.pi
-    err = 3.0 * alias_bound + tail_bound  # alias series decays geometrically; x3 safety
+    # alias series decays geometrically (x3 safety); the last term is the rounding floor
+    err = 3.0 * alias_bound + tail_bound + np.finfo(float).eps * (0.5 + slack / np.pi)
     return CdfOutcome(
         value=min(max(surv, 0.0), 1.0),
         error_bound=float(err),

@@ -266,6 +266,18 @@ class TestQuadrature:
         assert np.all(w > 0) and np.all(np.diff(z) > 0) and np.array_equal(np.abs(halving), w)
 
 
+    def test_unit_rule_keeps_complements_and_halves(self):
+        t, s, w, halving = kernels.UNIT_NODES, kernels.UNIT_COMPLEMENTS, kernels.UNIT_WEIGHTS, kernels.UNIT_HALVING
+        _, _, w2, _ = kernels._tanh_sinh_rule(h=1.0 / 16)
+        assert np.all(s > 0) and s.min() < 1e-37 and np.allclose(t + s, 1.0, rtol=0, atol=2.3e-16)
+        # an endpoint singularity at t = 1, written in the complement, integrates to full accuracy
+        assert w @ (1.0 / np.sqrt(s)) == pytest.approx(2.0, rel=1e-14)
+        assert abs(halving @ (1.0 / np.sqrt(s))) < 1e-13
+        f = np.cos(3.0 * t) + t**5
+        assert w @ f - halving @ f == pytest.approx(w2 @ np.cos(3.0 * t[::2]) + w2 @ t[::2] ** 5, rel=1e-14)
+        assert w @ f == pytest.approx(np.sin(3.0) / 3.0 + 1.0 / 6.0, rel=1e-15)
+
+
 class TestClamp:
     """The transform clamps p from below only: p = 0 prices as PROB_CLAMP_LO, p = 1 gives T = 0."""
 

@@ -1,7 +1,10 @@
 """Omnibus tests: Cauchy combination, minimum-p, and the rectangle probability."""
 
+import warnings
+
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy.special import ndtr as _ndtr, ndtri
 from scipy.stats import qmc
 
@@ -202,22 +205,24 @@ class TestPvalueMinp:
         assert res.pvalue == pytest.approx(0.037, abs=1e-6)
 
     def test_two_independent_closed_form(self):
-        defs = [GFisherDef(degrees=[1.0], side="two"), GFisherDef(degrees=[2.0], side="two")]
-
         class Indep:
             m = 2
             corr = np.eye(2)
 
-        res = minp_from_components(Indep(), [0.01, 0.8], abs_tol=5e-5, seed=5)
-        assert res.pvalue == pytest.approx(1.0 - 0.99**2, abs=2e-4)
+        res = minp_from_components(Indep(), [0.01, 0.8])
+        assert res.pvalue == pytest.approx(1.0 - 0.99**2, rel=1e-13)
 
     def test_perfectly_dependent_components(self):
         class Dep:
             m = 2
             corr = np.array([[1.0, 1.0], [1.0, 1.0]])
 
-        res = minp_from_components(Dep(), [0.01, 0.02], seed=5)
-        assert res.pvalue == pytest.approx(0.01, abs=2e-4)
+        res = minp_from_components(Dep(), [0.01, 0.02])
+        assert res.pvalue == pytest.approx(0.01, rel=1e-13)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = minp_from_components(_panel(np.ones((3, 3))), [1e-14, 0.5, 0.5])
+        assert res.pvalue == pytest.approx(1e-14, rel=1e-13)
 
     def test_refuses_wrong_length(self):
         class P:
@@ -237,9 +242,110 @@ class TestPvalueMinp:
                 m = 2
                 corr = np.array([[1.0, rho], [rho, 1.0]])
 
-            val = minp_from_components(P(), [minp_o, 0.5], abs_tol=2e-5, seed=11).pvalue
-            assert val <= prev + 5e-5
+            val = minp_from_components(P(), [minp_o, 0.5]).pvalue
+            assert val <= prev * (1.0 + 1e-13)
             prev = val
+
+
+def _panel(corr):
+    class P:
+        m = len(corr)
+
+    P.corr = np.asarray(corr, dtype=float)
+    return P()
+
+
+def _corr(r):
+    """A 2 x 2 or 3 x 3 correlation matrix from its upper triangle (r12,) or (r12, r13, r23)."""
+    if len(r) == 1:
+        return np.array([[1.0, r[0]], [r[0], 1.0]])
+    return np.array([[1.0, r[0], r[1]], [r[0], 1.0, r[2]], [r[1], r[2], 1.0]])
+
+
+def _upper_orthant2(q: float, rho: float) -> float:
+    """P(Z1 > h, Z2 > h), h = Q^{-1}(q), by Plackett's identity in theta = asin r and adaptive quadrature."""
+    h = -float(ndtri(q))
+    val, _ = integrate.quad(lambda th: np.exp(-h * h / (1.0 + np.sin(th))), 0.0, np.arcsin(rho),
+                            epsabs=0.0, epsrel=1e-13, limit=200)
+    return q * q + val / (2.0 * np.pi)
+
+
+# (smallest component p, upper triangle of the component correlation, the union
+# probability P(max_j Z_j > Q^{-1}(p))), the last from mpmath at 30 digits by
+# inclusion-exclusion: pairs by Plackett's identity in theta = asin r, the triple
+# by the path tR, and checked at 40 digits. The first two are the three-coordinate
+# signals z = 8 and z = 10 on build_panel over d = 1, 2, 3 with n = 20 and
+# equal:0.5:III (det R = 3e-7), where quasi-Monte Carlo reported 3.36e-5 and 1.53e-7.
+MINP_ORACLE = [
+    (3.2373955317425755e-05, (0.9964782587641368, 0.9923328926995357, 0.9991872950186031), 3.9123858478203287e-5),
+    (1.526147745282527e-07, (0.9964782587641368, 0.9923328926995357, 0.9991872950186031), 1.9250522061467587e-7),
+    (0.01, (0.3,), 0.019443671511136873),
+    (1e-05, (0.9,), 1.6952754970250856e-5),
+    (1e-09, (0.999,), 1.1095174112160529e-9),
+    (1e-14, (0.5,), 1.9999925517755538e-14),
+    (0.003, (-0.25,), 0.0059995528281733967),
+    (0.01, (0.2, 0.1, 0.4), 0.028635950254211454),
+    (0.002, (0.6, 0.5, 0.7), 0.005322098987138817),
+    (0.0001, (0.95, 0.9, 0.85), 0.0002068727778486385),
+    (5e-05, (0.1, 0.8, 0.3), 0.00014132694507663473),
+    (1e-06, (0.99, 0.98, 0.97), 1.6072442543862818e-6),
+    (3e-07, (0.7, 0.2, 0.5), 8.9010423306237138e-7),
+    (1e-08, (0.5, 0.5, 0.5), 2.9973608189400314e-8),
+    (1e-09, (0.999, 0.99, 0.995), 1.3508980963189141e-9),
+    (1e-10, (0.3, 0.6, 0.9), 2.8634075222891346e-10),
+    (1e-11, (0.9, 0.4, 0.6), 2.8830688911729499e-11),
+    (1e-12, (0.8, 0.8, 0.65), 2.9656416393526306e-12),
+    (1e-13, (0.05, 0.95, 0.1), 2.7689047861174903e-13),
+    (1e-14, (0.999, 0.998, 0.9995), 1.2213961565237497e-14),
+    (1e-14, (0.4, 0.3, 0.2), 2.9999996052686815e-14),
+    (0.001, (-0.2, 0.3, 0.1), 0.002982205368112921),
+]
+
+
+class TestMinpPlackett:
+    @pytest.mark.parametrize("q, upper, ref", MINP_ORACLE)
+    def test_matches_frozen_oracle(self, q, upper, ref):
+        corr = _corr(upper)
+        res = minp_from_components(_panel(corr), [q] + [0.5] * (len(corr) - 1))
+        assert res.pvalue == pytest.approx(ref, rel=1e-13)
+        assert res.diagnostics["rect_error"] <= 1e-13 * ref
+        # the union lies between its largest pairwise union and the Hunter-Worsley bound
+        pairs = sorted(_upper_orthant2(q, corr[i, j]) for i, j in ((0, 1), (0, 2), (1, 2))[: len(corr) ** 2 // 4])
+        lower = 2.0 * q - pairs[0]
+        upper_hw = len(corr) * q - sum(pairs[-(len(corr) - 1):])
+        assert q <= lower * (1.0 - 1e-12) <= res.pvalue <= upper_hw * (1.0 + 1e-12)
+
+    def test_no_rectangle_below_four_components(self, monkeypatch):
+        calls = []
+        real = omnibus.mvn_rect_prob
+        monkeypatch.setattr(omnibus, "mvn_rect_prob", lambda *a, **k: calls.append(1) or real(*a, **k))
+        for m in (2, 3):
+            minp_from_components(_panel(np.full((m, m), 0.5) + 0.5 * np.eye(m)), [1e-3] * m)
+        assert calls == []
+        minp_from_components(_panel(np.full((4, 4), 0.5) + 0.5 * np.eye(4)), [1e-3] * 4)
+        assert calls == [1]
+
+    def test_duplicate_definition_reduces_to_two_components(self):
+        defs = [GFisherDef(degrees=[float(d)] * 4, side="two") for d in (1, 2, 3)]
+        sigma = dependence.gen_structure("equal", "III", 4, 0.3)
+        full = build_panel([defs[0], defs[0], defs[2]], sigma)
+        reduced = build_panel([defs[0], defs[2]], sigma)
+        assert full.corr[0, 1] >= 1.0 - 1e-15
+        z = np.array([3.0, 2.5, -1.0, 2.0])
+        for scale in (1.0, 1.5, 2.5):
+            pj = component_pvalues(reduced, scale * z)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = minp_from_components(full, [pj[0], pj[0], pj[1]]).pvalue
+            assert np.isfinite(got)
+            assert got == pytest.approx(minp_from_components(reduced, pj).pvalue, rel=1e-13)
+
+    def test_negative_correlation_matches_rectangle(self):
+        corr = _corr((-0.2, 0.3, 0.1))
+        for q in (1e-2, 1e-4):
+            p = minp_from_components(_panel(corr), [q, 0.5, 0.5]).pvalue
+            rect, err = mvn_rect_prob(np.full(3, -ndtri(q)), corr, abs_tol=1e-6, seed=4)
+            assert abs(p - (1.0 - rect)) <= err
 
 
 class TestPanel:

@@ -237,6 +237,20 @@ class TestQformCdf:
             imhof = _imhof_survival(lam, x, 1e-9)
             assert davies == pytest.approx(imhof.value, abs=2e-8)
 
+    def test_bound_covers_last_bit_changes_of_the_spectrum(self):
+        # 80 eigenvalues decay the characteristic function fast enough that the
+        # aliasing and truncation bounds fall below 1e-17; the rounding floor
+        # must still cover how far p moves when the eigenvalues change in their last bits
+        lams = np.linspace(0.5, 1.5, 80)
+        rng = np.random.default_rng(7)
+        eps = np.finfo(float).eps
+        for x in (0.8, 1.0, 1.3, 2.0):
+            ref = qform_sf(lams, x * lams.sum())
+            for _ in range(20):
+                bits = rng.integers(-2, 3, lams.size)
+                moved = qform_sf(lams * (1.0 + bits * eps), x * lams.sum())
+                assert abs(moved.value - ref.value) <= ref.error_bound
+
     def test_empty_spectrum_rejected(self):
         with pytest.raises(ValueError):
             q_cdf(np.zeros(3), 1.0)
