@@ -310,9 +310,10 @@ class TestMinpPlackett:
         assert res.pvalue == pytest.approx(ref, rel=1e-13)
         assert res.diagnostics["rect_error"] <= 1e-13 * ref
         # the union lies between its largest pairwise union and the Hunter-Worsley bound
-        pairs = sorted(_upper_orthant2(q, corr[i, j]) for i, j in ((0, 1), (0, 2), (1, 2))[: len(corr) ** 2 // 4])
+        m = len(corr)
+        pairs = sorted(_upper_orthant2(q, corr[i, j]) for i in range(m) for j in range(i + 1, m))
         lower = 2.0 * q - pairs[0]
-        upper_hw = len(corr) * q - sum(pairs[-(len(corr) - 1):])
+        upper_hw = m * q - sum(pairs[1 - m:])  # the m - 1 largest intersections span the tree
         assert q <= lower * (1.0 - 1e-12) <= res.pvalue <= upper_hw * (1.0 + 1e-12)
 
     def test_no_rectangle_below_four_components(self, monkeypatch):
